@@ -26,7 +26,6 @@ from .grothendieck import (
     serre_product,
 )
 from .homology import (
-    BettiTable,
     ChainComplexError,
     KoszulTensorComplex,
     all_variables,
@@ -35,6 +34,7 @@ from .homology import (
     homology_profile,
     torsion_dimension,
 )
+from .linalg import CharacteristicError, check_characteristic
 from .modules import (
     DirectSum,
     FreeModule,
@@ -48,7 +48,7 @@ from .modules import (
     ShiftedModule,
     hilbert,
     kseries,
-    validate_ring,
+    require_valid,
 )
 from .series import NotInvertibleError, QSeries, eq_on_window, invert, truncate
 
@@ -90,7 +90,6 @@ class JobSpec:
     degree: Degree | None = None
     output: str = "json"
     characteristic: int = 0
-    threads: int | None = None
 
 
 def _parse_degree(data, where: str, errors: list) -> Degree | None:
@@ -251,7 +250,10 @@ def parse_spec(
     characteristic: int = 0,
     threads: int | None = None,
 ) -> JobSpec:
-    """Parse and fully validate a job file; raises SpecError listing every problem."""
+    """Parse and fully validate a job file; raises SpecError listing every problem.
+
+    ``threads`` is accepted for compatibility and ignored: every job runs on one thread.
+    """
     errors: list[tuple[str, str]] = []
     try:
         data = json.loads(text)
@@ -358,7 +360,6 @@ def parse_spec(
         degree=target_degree,
         output=output,
         characteristic=characteristic,
-        threads=threads,
     )
 
 
@@ -387,158 +388,139 @@ def serialize_spec(job: JobSpec) -> str:
         payload["sequence"] = list(job.sequence)
     if job.degree is not None:
         payload["degree"] = job.degree.to_json()
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _dump_json(payload)
 
 
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+def _compact(value) -> str:
+    """A JSON value as one csv cell."""
+    return json.dumps(value, separators=(",", ":"))
 
 
-def _render_series(series, output: str, extra: dict | None = None) -> str:
-    payload = series.to_json()
-    if extra:
-        payload.update(extra)
+def _render(
+    output: str,
+    payload: dict,
+    csv_header: list[str],
+    csv_rows: list[list],
+    table_lines: list[str],
+) -> str:
+    """A job's result in the chosen format: one JSON record, csv rows or table lines."""
     if output == "json":
         return _dump_json(payload)
     if output == "csv":
-        return _csv_lines(
-            ["degree", "coefficient"],
-            [[json.dumps(g.to_json(), separators=(",", ":")), c] for g, c in series.terms],
-        )
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+        return buffer.getvalue()
+    return "".join(line + "\n" for line in table_lines)
+
+
+def _series_view(series, extra: dict | None = None) -> tuple:
+    """The ``_render`` arguments after ``output`` for a windowed series."""
+    payload = series.to_json()
+    payload.update(extra or {})
     lines = [f"{'degree':<18} coefficient"]
-    for g, c in series.terms:
-        lines.append(f"{str(g):<18} {c}")
+    lines += [f"{str(g):<18} {c}" for g, c in series.terms]
     if not series.terms:
         lines.append("(zero on this window)")
-    return "\n".join(lines) + "\n"
-
-
-def _render_betti(table: BettiTable, output: str) -> str:
-    rows = [[i, g.to_json(), value] for i, g, value in table.rows()]
-    if output == "json":
-        return _dump_json({"rows": rows})
-    if output == "csv":
-        return _csv_lines(
-            ["i", "degree", "beta"],
-            [[i, json.dumps(g, separators=(",", ":")), value] for i, g, value in rows],
-        )
-    return str(table) + "\n"
+    rows = [[_compact(g.to_json()), c] for g, c in series.terms]
+    return payload, ["degree", "coefficient"], rows, lines
 
 
 def run_job(job: JobSpec) -> str:
-    report = validate_ring(job.ring, job.window)
-    if not report.ok:
-        raise RingValidationError("; ".join(report.problems))
-    command = job.command
+    check_characteristic(job.characteristic)
+    require_valid(job.ring)
+    command, output = job.command, job.output
 
     if command == "hilbert":
-        return _render_series(hilbert(job.module, job.ring, job.window), job.output)
+        return _render(output, *_series_view(hilbert(job.module, job.ring, job.window)))
 
     if command == "kseries":
-        return _render_series(kseries(job.module, job.ring, job.window), job.output)
+        return _render(output, *_series_view(kseries(job.module, job.ring, job.window)))
 
     if command == "invert":
         inverse = invert(QSeries.from_terms(job.series_terms))
-        return _render_series(truncate(inverse, job.window), job.output)
+        return _render(output, *_series_view(truncate(inverse, job.window)))
 
     if command == "betti":
-        table = betti_table(
-            job.module, job.ring, job.window, job.characteristic, job.threads
+        table = betti_table(job.module, job.ring, job.window, job.characteristic)
+        rows = [[i, g.to_json(), value] for i, g, value in table.rows()]
+        return _render(
+            output,
+            {"rows": rows},
+            ["i", "degree", "beta"],
+            [[i, _compact(g), value] for i, g, value in rows],
+            str(table).splitlines(),
         )
-        return _render_betti(table, job.output)
 
     if command == "torsion-dim":
         value = torsion_dimension(
             job.module, job.ring, job.degree, job.window, job.characteristic
         )
-        payload = {
-            "degree": job.degree.to_json(),
-            "torsion_dimension": value,
-            "projective_dimension": value,
-        }
-        if job.output == "json":
-            return _dump_json(payload)
-        if job.output == "csv":
-            return _csv_lines(
-                ["degree", "torsion_dimension", "projective_dimension"],
-                [[json.dumps(job.degree.to_json(), separators=(",", ":")), value, value]],
-            )
-        return f"torsion dimension at {job.degree} = {value} (= projective dimension)\n"
+        return _render(
+            output,
+            {
+                "degree": job.degree.to_json(),
+                "torsion_dimension": value,
+                "projective_dimension": value,
+            },
+            ["degree", "torsion_dimension", "projective_dimension"],
+            [[_compact(job.degree.to_json()), value, value]],
+            [f"torsion dimension at {job.degree} = {value} (= projective dimension)"],
+        )
 
     if command == "serre":
         left = serre_product(
-            job.module,
-            job.module2,
-            job.ring,
-            job.window,
-            job.characteristic,
-            job.threads,
+            job.module, job.module2, job.ring, job.window, job.characteristic
         )
         right = product(
             class_of(job.module, job.ring, job.window),
             class_of(job.module2, job.ring, job.window),
         )
         matches = eq_on_window(left.series, right.series, right.series.window)
-        return _render_series(
-            left.series,
-            job.output,
-            extra={"provenance": left.provenance, "matches_tensor_product": matches},
-        )
+        extra = {"provenance": left.provenance, "matches_tensor_product": matches}
+        return _render(output, *_series_view(left.series, extra))
 
     if command == "koszul-verify":
         sequence = job.sequence or all_variables(job.ring)
         module = job.module if job.module is not None else RING_MODULE
         complex_ = KoszulTensorComplex.of(module, job.ring, sequence)
-        profile = homology_profile(
-            complex_, job.window, job.characteristic, job.threads
-        )
+        profile = homology_profile(complex_, job.window, job.characteristic)
         exact_positive = all(all(h == 0 for h in dims[1:]) for _, dims in profile)
-        rows = [[g.to_json(), list(dims)] for g, dims in profile]
-        payload = {"homology": rows, "exact_in_positive_indices": exact_positive}
-        if job.output == "json":
-            return _dump_json(payload)
-        if job.output == "csv":
-            flat = []
-            for g, dims in profile:
-                for i, h in enumerate(dims):
-                    flat.append([json.dumps(g.to_json(), separators=(",", ":")), i, h])
-            return _csv_lines(["degree", "i", "dimension"], flat)
-        lines = [f"{'degree':<18} homology dimensions"]
-        for g, dims in profile:
-            lines.append(f"{str(g):<18} {list(dims)}")
-        lines.append(f"exact in positive indices: {exact_positive}")
-        return "\n".join(lines) + "\n"
+        return _render(
+            output,
+            {
+                "homology": [[g.to_json(), list(dims)] for g, dims in profile],
+                "exact_in_positive_indices": exact_positive,
+            },
+            ["degree", "i", "dimension"],
+            [[_compact(g.to_json()), i, h] for g, dims in profile for i, h in enumerate(dims)],
+            [f"{'degree':<18} homology dimensions"]
+            + [f"{str(g):<18} {list(dims)}" for g, dims in profile]
+            + [f"exact in positive indices: {exact_positive}"],
+        )
 
     if command == "euler-check":
         sequence = job.sequence or all_variables(job.ring)
         complex_ = KoszulTensorComplex.of(job.module, job.ring, sequence)
-        rows = euler_profile(complex_, job.window, job.characteristic, job.threads)
+        rows = euler_profile(complex_, job.window, job.characteristic)
         equal = all(terms == homology for _, terms, homology in rows)
-        payload = {
-            "rows": [[g.to_json(), terms, homology] for g, terms, homology in rows],
-            "equal": equal,
-        }
-        if job.output == "json":
-            return _dump_json(payload)
-        if job.output == "csv":
-            return _csv_lines(
-                ["degree", "terms", "homology"],
-                [[json.dumps(g.to_json(), separators=(",", ":")), terms, homology] for g, terms, homology in rows],
-            )
-        lines = [f"{'degree':<18} {'terms':>8} {'homology':>10}"]
-        for g, terms, homology in rows:
-            lines.append(f"{str(g):<18} {terms:>8} {homology:>10}")
-        lines.append(f"equal: {equal}")
-        return "\n".join(lines) + "\n"
+        return _render(
+            output,
+            {
+                "rows": [[g.to_json(), terms, homology] for g, terms, homology in rows],
+                "equal": equal,
+            },
+            ["degree", "terms", "homology"],
+            [[_compact(g.to_json()), terms, homology] for g, terms, homology in rows],
+            [f"{'degree':<18} {'terms':>8} {'homology':>10}"]
+            + [f"{str(g):<18} {terms:>8} {homology:>10}" for g, terms, homology in rows]
+            + [f"equal: {equal}"],
+        )
 
     raise ValueError(f"unhandled command {command!r}")
 
@@ -552,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="path to the JSON job file ('-' for stdin)")
     parser.add_argument("--command", choices=COMMANDS, help="overrides the job file's command")
     parser.add_argument("--output", choices=("json", "csv", "table"), default="json")
-    parser.add_argument("--threads", type=int, default=None, help="degreewise worker threads (default: all cores)")
+    parser.add_argument("--threads", type=int, default=None, help="ignored; every job runs on one thread")
     parser.add_argument("--char", type=int, default=0, help="coefficient field characteristic: 0 or a prime")
     return parser
 
@@ -574,7 +556,6 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads if args.threads and args.threads > 0 else (os.cpu_count() or 1)
     try:
         if args.spec == "-":
             text = sys.stdin.read()
@@ -590,7 +571,6 @@ def main(argv=None) -> int:
             command=args.command,
             output=args.output,
             characteristic=args.char,
-            threads=threads,
         )
         sys.stdout.write(run_job(job))
         return EXIT_OK
@@ -601,13 +581,19 @@ def main(argv=None) -> int:
             details=[{"where": where, "message": message} for where, message in exc.errors],
         )
         return EXIT_PARSE
-    except (RingValidationError, NotInvertibleError, ChainComplexError, UnsupportedResolutionError, ValueError) as exc:
+    except (
+        RingValidationError,
+        NotInvertibleError,
+        ChainComplexError,
+        UnsupportedResolutionError,
+        CharacteristicError,
+    ) as exc:
         _emit_error("validation", str(exc))
         return EXIT_VALIDATION
     except WindowError as exc:
         _emit_error("window", str(exc))
         return EXIT_WINDOW
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         _emit_error("internal", f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degrees import Degree, SupportDescriptor, Window, candidate_degrees
-from .homology import _homology_dimensions, euler_check, parallel_map  # noqa: F401  (euler_check re-exported)
+from .homology import _homology_dimensions
 from .modules import (
     DirectSum,
     FreeModule,
@@ -104,7 +104,6 @@ def serre_product(
     ring: RingSpec,
     window: Window,
     characteristic: int = 0,
-    threads: int | None = None,
 ) -> KClass:
     """The class of the alternating sum of the torsion modules of (m, n).
 
@@ -117,14 +116,12 @@ def serre_product(
     positions = _quotient_variable_positions(m)
     if positions is not None:
         support = n.lower_bounds(ring)
-        degrees = candidate_degrees(support, window)
-
-        def alternating_sum(g: Degree) -> int:
+        coeffs = {}
+        for g in candidate_degrees(support, window):
             dims = _homology_dimensions(n, ring, positions, g, characteristic)
-            return sum((-1) ** i * d for i, d in enumerate(dims))
-
-        values = parallel_map(alternating_sum, degrees, threads)
-        coeffs = {g: v for g, v in zip(degrees, values) if v}
+            value = sum((-1) ** i * d for i, d in enumerate(dims))
+            if value:
+                coeffs[g] = value
         alternating = LaurentSeries(window, support, coeffs)
         return KClass(mul_q(ring_hilbert_inverse(ring), alternating), provenance)
 

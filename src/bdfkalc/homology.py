@@ -12,11 +12,10 @@ Euler-characteristic identity used by the Grothendieck layer.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .degrees import (
     ZERO,
@@ -205,15 +204,6 @@ def tor_k(
     return dims[i] if 0 <= i < len(dims) else 0
 
 
-def parallel_map(fn: Callable, items: Sequence, threads: int | None = None) -> list:
-    """Order-preserving map; results are independent of the thread count."""
-    items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers on a window: entries (index, degree, value)."""
@@ -250,7 +240,6 @@ def betti_table(
     ring: RingSpec,
     window: Window,
     characteristic: int = 0,
-    threads: int | None = None,
 ) -> BettiTable:
     """All graded Betti numbers with degree inside the window.
 
@@ -260,17 +249,14 @@ def betti_table(
     seq = all_variables(ring)
     degrees = candidate_degrees(module.lower_bounds(ring), window)
     logger.debug("betti table over %d degrees", len(degrees))
-
-    def per_degree(g: Degree) -> list[tuple[int, Degree, int]]:
-        dims = _homology_dimensions(module, ring, seq, g, characteristic)
-        return [(i, g, value) for i, value in enumerate(dims) if value]
-
-    collected = parallel_map(per_degree, degrees, threads)
-    order = {g: rank_ for rank_, g in enumerate(degrees)}
-    entries = sorted(
-        (entry for chunk in collected for entry in chunk),
-        key=lambda entry: (entry[0], order[entry[1]]),
-    )
+    entries = [
+        (i, g, value)
+        for g in degrees
+        for i, value in enumerate(_homology_dimensions(module, ring, seq, g, characteristic))
+        if value
+    ]
+    # stable sort: within one index, degrees keep their enumeration order
+    entries.sort(key=lambda entry: entry[0])
     return BettiTable(window, tuple(entries))
 
 
@@ -305,7 +291,6 @@ def minimal_resolution_shape(
     ring: RingSpec,
     window: Window,
     characteristic: int = 0,
-    threads: int | None = None,
 ) -> tuple[tuple[Degree, ...], ...]:
     """Shift multisets of the minimal free resolution, one per homological index.
 
@@ -313,7 +298,7 @@ def minimal_resolution_shape(
     beta(i, g) times; the alternating sum of the terms' multiplicity
     series reproduces the module's K-series on the window.
     """
-    table = betti_table(module, ring, window, characteristic, threads)
+    table = betti_table(module, ring, window, characteristic)
     if not table.entries:
         return ((),)
     shapes: list[tuple[Degree, ...]] = []
@@ -449,36 +434,29 @@ def _complex_snapshot(complex_, g: Degree, characteristic: int) -> tuple[list[in
 
 
 def homology_profile(
-    complex_, window: Window, characteristic: int = 0, threads: int | None = None
+    complex_, window: Window, characteristic: int = 0
 ) -> list[tuple[Degree, tuple[int, ...]]]:
     """Per-degree homology dimensions of a degreewise complex on the window."""
-    degrees = candidate_degrees(complex_.support, window)
-
-    def per_degree(g: Degree) -> tuple[Degree, tuple[int, ...]]:
-        _, homology = _complex_snapshot(complex_, g, characteristic)
-        return (g, tuple(homology))
-
-    return parallel_map(per_degree, degrees, threads)
+    return [
+        (g, tuple(_complex_snapshot(complex_, g, characteristic)[1]))
+        for g in candidate_degrees(complex_.support, window)
+    ]
 
 
 def euler_profile(
-    complex_, window: Window, characteristic: int = 0, threads: int | None = None
+    complex_, window: Window, characteristic: int = 0
 ) -> list[tuple[Degree, int, int]]:
     """Per-degree alternating sums of term and homology dimensions."""
-    degrees = candidate_degrees(complex_.support, window)
-
-    def per_degree(g: Degree) -> tuple[Degree, int, int]:
+    rows = []
+    for g in candidate_degrees(complex_.support, window):
         dims, homology = _complex_snapshot(complex_, g, characteristic)
         chi_terms = sum((-1) ** n * d for n, d in enumerate(dims))
         chi_homology = sum((-1) ** n * h for n, h in enumerate(homology))
-        return (g, chi_terms, chi_homology)
+        rows.append((g, chi_terms, chi_homology))
+    return rows
 
-    return parallel_map(per_degree, degrees, threads)
 
-
-def euler_check(
-    complex_, window: Window, characteristic: int = 0, threads: int | None = None
-) -> bool:
+def euler_check(complex_, window: Window, characteristic: int = 0) -> bool:
     """Degreewise Euler characteristic: terms versus homology.
 
     For every window degree the alternating sum of term dimensions must
@@ -487,5 +465,5 @@ def euler_check(
     """
     return all(
         terms == homology
-        for _, terms, homology in euler_profile(complex_, window, characteristic, threads)
+        for _, terms, homology in euler_profile(complex_, window, characteristic)
     )

@@ -64,14 +64,53 @@ def rank_fraction_free(matrix: IntMatrix) -> int:
     return rank
 
 
+class CharacteristicError(ValueError):
+    """A field characteristic that is neither 0 nor a certified prime."""
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly for every n below _MR_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n below _MR_LIMIT; larger n raise CharacteristicError."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise CharacteristicError(
+            f"characteristic {n} is too large: primality is certified only below {_MR_LIMIT}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_prime(p: int) -> None:
-    if p < 2:
-        raise ValueError(f"characteristic must be 0 or a prime, got {p}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
-        d += 1
+    if not is_prime(p):
+        raise CharacteristicError(f"characteristic must be 0 or a prime, got {p}")
+
+
+def check_characteristic(p: int) -> None:
+    """Raise CharacteristicError unless p is 0 or a prime."""
+    if p != 0:
+        _check_prime(p)
 
 
 def rank_mod_p(matrix: IntMatrix, p: int) -> int:

@@ -97,7 +97,7 @@ class RingValidationError(ValueError):
     pass
 
 
-def validate_ring(ring: RingSpec, window: Window | None = None) -> RingReport:
+def validate_ring(ring: RingSpec) -> RingReport:
     """Check the grading is pointed and connected.
 
     Degrees must be nonzero (connectedness: the degree-0 piece is the
@@ -119,8 +119,8 @@ def validate_ring(ring: RingSpec, window: Window | None = None) -> RingReport:
     return RingReport(tuple(problems))
 
 
-def require_valid(ring: RingSpec, window: Window | None = None) -> None:
-    report = validate_ring(ring, window)
+def require_valid(ring: RingSpec) -> None:
+    report = validate_ring(ring)
     if not report.ok:
         raise RingValidationError("; ".join(report.problems))
 

@@ -11,7 +11,6 @@ windowed series stay exact on the windowed factor's full window.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Mapping
 
 from .degrees import (
@@ -34,28 +33,26 @@ class NotInvertibleError(ValueError):
 class QSeries:
     """Integer series supported on nonnegative degrees, evaluated lazily.
 
-    Coefficients come from a deterministic oracle and are memoized under a
-    lock, so concurrent reads agree.  Degrees outside the nonnegative
-    orthant return 0 without consulting the oracle.
+    Coefficients come from a deterministic oracle and are memoized.
+    Degrees outside the nonnegative orthant return 0 without consulting
+    the oracle.
     """
 
-    __slots__ = ("_oracle", "_memo", "_lock", "description")
+    __slots__ = ("_oracle", "_memo", "description")
 
     def __init__(self, oracle: Callable[[Degree], int], description: str = "series"):
         self._oracle = oracle
         self._memo: dict[Degree, int] = {}
-        self._lock = threading.Lock()
         self.description = description
 
     def coeff(self, g: Degree) -> int:
         if not g.is_nonnegative():
             return 0
-        with self._lock:
-            try:
-                return self._memo[g]
-            except KeyError:
-                value = self._memo[g] = int(self._oracle(g))
-                return value
+        try:
+            return self._memo[g]
+        except KeyError:
+            value = self._memo[g] = int(self._oracle(g))
+            return value
 
     @staticmethod
     def from_terms(terms: Mapping[Degree, int], description: str = "polynomial") -> "QSeries":
@@ -250,22 +247,20 @@ def invert(q: QSeries) -> QSeries:
     if q.coeff(ZERO) != 1:
         raise NotInvertibleError("constant coefficient must be 1 to invert")
     known: dict[Degree, int] = {ZERO: 1}
-    lock = threading.RLock()
 
     def entry(g: Degree) -> int:
-        with lock:
-            if g in known:
-                return known[g]
-            for u in enumerate_downset_q(g):
-                if u in known:
-                    continue
-                acc = 0
-                for p in enumerate_downset_q(u):
-                    if p == u:
-                        continue
-                    acc += known[p] * q.coeff(u - p)
-                known[u] = -acc
+        if g in known:
             return known[g]
+        for u in enumerate_downset_q(g):
+            if u in known:
+                continue
+            acc = 0
+            for p in enumerate_downset_q(u):
+                if p == u:
+                    continue
+                acc += known[p] * q.coeff(u - p)
+            known[u] = -acc
+        return known[g]
 
     return QSeries(entry, f"({q.description})^-1")
 

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from bdfkalc import cli
 from bdfkalc.cli import (
+    COMMANDS,
+    EXIT_INTERNAL,
+    EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_WINDOW,
@@ -13,6 +17,7 @@ from bdfkalc.cli import (
     parse_spec,
     serialize_spec,
 )
+from bdfkalc.homology import ChainComplexError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -158,6 +163,79 @@ class TestCommands:
         assert result.returncode == EXIT_VALIDATION
 
 
+def run_main(capsys, tmp_path, spec, *args):
+    """Run the CLI in process; returns the exit code and the error record, if any."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main(["--spec", str(path), *args])
+    err = capsys.readouterr().err
+    return code, (json.loads(err)["error"] if err else None)
+
+
+# every command succeeds on this job in characteristic 0
+EVERY_COMMAND = {
+    "ring": {"columns": [1, 1]},
+    "module": {"node": "quotient", "gens": [[[1, 1]]]},
+    "module2": {"node": "quotient", "gens": [[[2, 1]]]},
+    "series": [[[], 1], [[[1, 1]], -1]],
+    "degree": [[1, 1], [2, 1]],
+    "window": [[[1, 2], [2, 2]]],
+}
+
+
+class TestCharacteristic:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_valid_characteristics_run(self, command, capsys, tmp_path):
+        for char in ("0", "3", "32003"):
+            code, error = run_main(capsys, tmp_path, EVERY_COMMAND, "--command", command, "--char", char)
+            assert (code, error) == (EXIT_OK, None), (command, char)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_characteristic_rejected_by_every_command(self, command, capsys, tmp_path):
+        for char in ("4", "1", "-3"):
+            code, error = run_main(capsys, tmp_path, EVERY_COMMAND, "--command", command, "--char", char)
+            assert code == EXIT_VALIDATION, (command, char)
+            assert error["kind"] == "validation"
+            assert "characteristic" in error["message"]
+
+
+class TestErrorKinds:
+    """Exit code and error kind for each way a job can fail."""
+
+    def test_missing_spec_file_is_io(self, capsys, tmp_path):
+        code = cli.main(["--spec", str(tmp_path / "absent.json"), "--command", "kseries"])
+        assert code == EXIT_PARSE
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "io"
+
+    def test_unreduced_generators_are_a_parse_error(self, capsys, tmp_path):
+        spec = dict(MINIMAL, module={"node": "ideal", "gens": [[[1, 1]], [[1, 1], [2, 1]]]})
+        code, error = run_main(capsys, tmp_path, spec, "--command", "kseries")
+        assert (code, error["kind"]) == (EXIT_PARSE, "parse")
+
+    def test_unsupported_left_factor_is_validation(self, capsys, tmp_path):
+        spec = dict(MINIMAL, module2=MINIMAL["module"])
+        code, error = run_main(capsys, tmp_path, spec, "--command", "serre")
+        assert (code, error["kind"]) == (EXIT_VALIDATION, "validation")
+
+    def test_chain_complex_error_is_validation(self, monkeypatch, capsys, tmp_path):
+        def fail(*args, **kwargs):
+            raise ChainComplexError("raised on purpose")
+
+        monkeypatch.setattr(cli, "kseries", fail)
+        code, error = run_main(capsys, tmp_path, MINIMAL, "--command", "kseries")
+        assert (code, error["kind"]) == (EXIT_VALIDATION, "validation")
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError])
+    def test_library_bug_is_internal(self, exc, monkeypatch, capsys, tmp_path):
+        def fail(*args, **kwargs):
+            raise exc("raised on purpose")
+
+        monkeypatch.setattr(cli, "kseries", fail)
+        code, error = run_main(capsys, tmp_path, MINIMAL, "--command", "kseries")
+        assert (code, error["kind"]) == (EXIT_INTERNAL, "internal")
+        assert exc.__name__ in error["message"]
+
+
 class TestGolden:
     cases = [
         ("betti_xy.json", "kseries", "json", "kseries_xy.json.golden"),
@@ -165,6 +243,29 @@ class TestGolden:
         ("betti_xy.json", "betti", "csv", "betti_xy.csv.golden"),
         ("serre_xz.json", "serre", "json", "serre_xz.json.golden"),
         ("koszul_m3.json", "koszul-verify", "json", "koszul_m3.json.golden"),
+        ("betti_xy.json", "hilbert", "json", "hilbert_xy.json.golden"),
+        ("betti_xy.json", "hilbert", "csv", "hilbert_xy.csv.golden"),
+        ("betti_xy.json", "hilbert", "table", "hilbert_xy.table.golden"),
+        ("betti_xy.json", "kseries", "csv", "kseries_xy.csv.golden"),
+        ("betti_xy.json", "kseries", "table", "kseries_xy.table.golden"),
+        ("invert_xy.json", "invert", "json", "invert_xy.json.golden"),
+        ("invert_xy.json", "invert", "csv", "invert_xy.csv.golden"),
+        ("invert_xy.json", "invert", "table", "invert_xy.table.golden"),
+        ("betti_xy.json", "betti", "table", "betti_xy.table.golden"),
+        ("torsion_xy.json", "torsion-dim", "json", "torsion_xy.json.golden"),
+        ("torsion_xy.json", "torsion-dim", "csv", "torsion_xy.csv.golden"),
+        ("torsion_xy.json", "torsion-dim", "table", "torsion_xy.table.golden"),
+        ("serre_xz.json", "serre", "csv", "serre_xz.csv.golden"),
+        ("serre_xz.json", "serre", "table", "serre_xz.table.golden"),
+        ("koszul_m3.json", "koszul-verify", "csv", "koszul_m3.csv.golden"),
+        ("koszul_m3.json", "koszul-verify", "table", "koszul_m3.table.golden"),
+        ("betti_xy.json", "euler-check", "json", "euler_xy.json.golden"),
+        ("betti_xy.json", "euler-check", "csv", "euler_xy.csv.golden"),
+        ("betti_xy.json", "euler-check", "table", "euler_xy.table.golden"),
+        # a module that vanishes on its window: empty series, table and profile
+        ("zero_window.json", "hilbert", "table", "hilbert_zero.table.golden"),
+        ("zero_window.json", "betti", "table", "betti_zero.table.golden"),
+        ("zero_window.json", "koszul-verify", "table", "koszul_zero.table.golden"),
     ]
 
     @pytest.mark.parametrize("spec,command,output,golden", cases)

@@ -35,7 +35,15 @@ from bdfkalc import (
     unit,
     variable_quotient,
 )
-from bdfkalc.linalg import is_zero, matmul, rank_fraction_free, rank_mod_p
+from bdfkalc.linalg import (
+    CharacteristicError,
+    check_characteristic,
+    is_prime,
+    is_zero,
+    matmul,
+    rank_fraction_free,
+    rank_mod_p,
+)
 from oracles import fraction_rank
 
 KXY = RingSpec.standard(2)
@@ -60,6 +68,43 @@ class TestLinalg:
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
             rank_mod_p([[1]], 4)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+class TestCharacteristicCheck:
+    def test_agrees_with_trial_division_below_ten_thousand(self):
+        for n in range(-3, 10**4):
+            assert is_prime(n) == trial_division_is_prime(n), n
+
+    def test_carmichael_numbers_rejected(self):
+        for n in (561, 41041):
+            assert not is_prime(n)
+            with pytest.raises(CharacteristicError):
+                check_characteristic(n)
+
+    def test_strong_pseudoprime_to_the_first_twelve_bases_rejected(self):
+        # passes Miller-Rabin for every prime base up to 37; base 41 exposes it
+        assert not is_prime(318665857834031151167461)
+
+    def test_large_primes_accepted(self):
+        for p in (32003, 10**15 + 37):
+            check_characteristic(p)
+        assert rank_mod_p([[1, 2], [2, 4]], 10**15 + 37) == 1
+
+    def test_zero_accepted_and_small_values_rejected(self):
+        check_characteristic(0)
+        for p in (1, -3, 4):
+            with pytest.raises(CharacteristicError):
+                check_characteristic(p)
+
+    def test_beyond_the_certified_range_rejected(self):
+        # the first bound is composite yet passes all 13 bases; the second is prime
+        for n in (3317044064679887385961981, 3317044064679887385962123):
+            with pytest.raises(CharacteristicError, match="too large"):
+                check_characteristic(n)
 
 
 class TestKoszulPiece:
@@ -186,11 +231,6 @@ class TestBettiTable:
         plain = betti_table(XY, KXY, W33)
         mod2 = betti_table(XY, KXY, W33, characteristic=2)
         assert plain.rows() == mod2.rows()
-
-    def test_thread_count_does_not_change_the_table(self):
-        one = betti_table(residue_field(KXY), KXY, W33, threads=1)
-        four = betti_table(residue_field(KXY), KXY, W33, threads=4)
-        assert one.rows() == four.rows()
 
 
 class TestTorsionDimension:

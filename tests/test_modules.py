@@ -43,7 +43,7 @@ XY_IDEAL = MonomialIdeal.of([Monomial(((1, 1), (2, 1)))])
 class TestValidateRing:
     def test_matrix_ring_is_valid(self):
         ring = RingSpec.matrix_ring([2, 3, 1])
-        assert validate_ring(ring, Window.of([degree(2, 2, 2)])).ok
+        assert validate_ring(ring).ok
         assert [v.name for v in ring.variables][:3] == ["x[1,1]", "x[2,1]", "x[1,2]"]
 
     def test_degree_zero_variable_breaks_connectedness(self):
