@@ -233,6 +233,51 @@ class TestBettiTable:
         assert plain.rows() == mod2.rows()
 
 
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+RP2_RING = RingSpec.standard(6)
+# every edge of the 6-vertex RP^2 is a face, so the minimal non-faces are its 10 non-facet triangles
+RP2 = MonomialQuotient.of(
+    Monomial(tuple((v, 1) for v in triangle))
+    for triangle in itertools.combinations(range(1, 7), 3)
+    if triangle not in RP2_FACETS
+)
+RP2_TOP = degree(1, 1, 1, 1, 1, 1)
+
+
+class TestCharacteristicDependence:
+    """Reisner: the Stanley-Reisner ring of RP^2 has extra syzygies exactly in characteristic 2.
+
+    By Hochster's formula beta(i, 1..1) is the reduced cohomology of RP^2
+    in dimension 5 - i, which is k in dimensions 1 and 2 over GF(2) and
+    vanishes over Q and GF(3).
+    """
+
+    EXPECTED = {0: 0, 2: 1, 3: 0}
+
+    def test_tor_and_betti_table(self):
+        assert len(RP2.gens) == 10
+        window = Window.of([RP2_TOP])
+        for p, beta in self.EXPECTED.items():
+            table = betti_table(RP2, RP2_RING, window, characteristic=p)
+            for i in (3, 4):
+                assert tor_k(RP2, RP2_RING, i, RP2_TOP, characteristic=p) == beta, (p, i)
+                assert table.beta(i, RP2_TOP) == beta, (p, i)
+
+    def test_homology_profile(self):
+        complex_ = KoszulTensorComplex.of(RP2, RP2_RING)
+        for p, beta in self.EXPECTED.items():
+            dims = dict(homology_profile(complex_, Window.of([RP2_TOP]), p))[RP2_TOP]
+            assert (dims + (0,) * 5)[3:5] == (beta, beta), p
+
+    def test_torsion_dimension(self):
+        window = Window.of([RP2_TOP])
+        assert torsion_dimension(RP2, RP2_RING, RP2_TOP, window, characteristic=2) == 4
+        assert torsion_dimension(RP2, RP2_RING, RP2_TOP, window, characteristic=0) == 3
+
+
 class TestTorsionDimension:
     def test_free_module_is_projective(self):
         assert torsion_dimension(FreeModule.of([unit(1)]), KXY, degree(2, 2), W33) == 0
