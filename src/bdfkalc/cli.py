@@ -483,7 +483,10 @@ def run_job(job: JobSpec) -> str:
         )
         matches = eq_on_window(left.series, right.series, right.series.window)
         extra = {"provenance": left.provenance, "matches_tensor_product": matches}
-        return _render(output, *_series_view(left.series, extra))
+        payload, header, rows, lines = _series_view(left.series, extra)
+        return _render(
+            output, payload, header, rows, lines + [f"matches tensor product: {matches}"]
+        )
 
     if command == "koszul-verify":
         sequence = job.sequence or all_variables(job.ring)

@@ -178,7 +178,6 @@ class SupportDescriptor:
         return SupportDescriptor.of(lb + g for lb in self.lower_bounds)
 
 
-EMPTY_SUPPORT = SupportDescriptor()
 FULL_Q = SupportDescriptor((ZERO,))
 
 

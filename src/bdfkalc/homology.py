@@ -3,10 +3,15 @@
 Each degree sees only finitely many homological indices: a wedge of n
 variables contributing in degree g forces n distinct variables below
 g minus a support lower bound of the module, and only finitely many
-variables fit.  Homology dimensions come from exact ranks, giving graded
-Betti numbers, torsion dimension, and the shape of the minimal free
-resolution.  A small degreewise chain-complex interface supports the
-Euler-characteristic identity used by the Grothendieck layer.
+variables fit.
+
+One engine computes all homology: ``_complex_snapshot`` takes any
+complex with the small degreewise interface (support, index bound,
+piece dimensions, differentials), checks the chain law d.d = 0 and
+takes exact ranks.  Graded Betti numbers, torsion dimension, the shape
+of the minimal free resolution, the Serre product's alternating torsion
+and the Euler-characteristic identity all go through it, so each of them
+rejects a complex whose differentials do not compose to zero.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ from .degrees import (
 )
 from .linalg import IntMatrix, is_zero, matmul, rank, zero_matrix
 from .modules import (
+    RING_MODULE,
     BasisLabel,
     ModuleExpr,
-    MonomialQuotient,
     RingSpec,
     graded_piece,
-    variable_quotient,
+    residue_field,
 )
 
 logger = logging.getLogger("bdfkalc")
@@ -103,11 +108,8 @@ def koszul_piece(
     seq: Iterable[int],
     n: int,
     g: Degree,
-    window: Window | None = None,
 ) -> KoszulPiece:
     """Basis of wedges paired with module basis elements of the complementary degree."""
-    if window is not None and not window.contains(g):
-        raise WindowError(f"degree {g} is outside the window")
     if n < 0:
         raise ValueError("homological index must be nonnegative")
     return _koszul_piece(module, ring, _canonical_sequence(seq), n, g)
@@ -119,7 +121,6 @@ def koszul_differential(
     seq: Iterable[int],
     n: int,
     g: Degree,
-    window: Window | None = None,
 ) -> IntMatrix:
     """Matrix of the n-th Koszul differential in degree g.
 
@@ -130,8 +131,8 @@ def koszul_differential(
     if n < 1:
         raise ValueError("differentials start at homological index 1")
     sequence = _canonical_sequence(seq)
-    source = koszul_piece(module, ring, sequence, n, g, window)
-    target = koszul_piece(module, ring, sequence, n - 1, g, window)
+    source = koszul_piece(module, ring, sequence, n, g)
+    target = koszul_piece(module, ring, sequence, n - 1, g)
     index = {element: row for row, element in enumerate(target.basis)}
     matrix = zero_matrix(target.dimension, source.dimension)
     for col, (w, label) in enumerate(source.basis):
@@ -170,17 +171,7 @@ def _homology_dimensions(
     characteristic: int,
 ) -> list[int]:
     """Dimensions of the Koszul homology in degree g, indices 0..bound."""
-    bound = koszul_index_bound(module, ring, seq, g)
-    dims = [
-        koszul_piece(module, ring, seq, n, g).dimension for n in range(bound + 2)
-    ]
-    ranks = [0] * (bound + 3)
-    for n in range(1, bound + 2):
-        if dims[n] and dims[n - 1]:
-            ranks[n] = rank(
-                koszul_differential(module, ring, seq, n, g), characteristic
-            )
-    return [dims[n] - ranks[n] - ranks[n + 1] for n in range(bound + 1)]
+    return _complex_snapshot(KoszulTensorComplex(module, ring, seq), g, characteristic)[1]
 
 
 def tor_k(
@@ -188,7 +179,6 @@ def tor_k(
     ring: RingSpec,
     i: int,
     g: Degree,
-    window: Window | None = None,
     characteristic: int = 0,
 ) -> int:
     """Dimension of the i-th torsion of the module against the residue field, in degree g.
@@ -197,8 +187,6 @@ def tor_k(
     the module; by graded symmetry of torsion this equals the i-th graded
     Betti number in degree g.
     """
-    if window is not None and not window.contains(g):
-        raise WindowError(f"degree {g} is outside the window")
     seq = all_variables(ring)
     dims = _homology_dimensions(module, ring, seq, g, characteristic)
     return dims[i] if 0 <= i < len(dims) else 0
@@ -379,26 +367,17 @@ class AugmentedKoszulComplex:
     def support(self) -> SupportDescriptor:
         return SupportDescriptor.of([ZERO])
 
-    def _field(self) -> MonomialQuotient:
-        return variable_quotient(self.ring, all_variables(self.ring))
-
     def index_bound(self, g: Degree) -> int:
-        from .modules import RING_MODULE
-
         return koszul_index_bound(RING_MODULE, self.ring, all_variables(self.ring), g) + 1
 
     def piece_dim(self, n: int, g: Degree) -> int:
-        from .modules import RING_MODULE
-
         if n == 0:
-            return graded_piece(self._field(), self.ring, g).dimension
+            return graded_piece(residue_field(self.ring), self.ring, g).dimension
         return koszul_piece(RING_MODULE, self.ring, all_variables(self.ring), n - 1, g).dimension
 
     def differential(self, n: int, g: Degree) -> IntMatrix:
-        from .modules import RING_MODULE
-
         if n == 1:
-            field = self._field()
+            field = residue_field(self.ring)
             source = graded_piece(RING_MODULE, self.ring, g)
             target = graded_piece(field, self.ring, g)
             index = {label.monomial: row for row, label in enumerate(target.basis)}
@@ -419,16 +398,19 @@ def _complex_snapshot(complex_, g: Degree, characteristic: int) -> tuple[list[in
     """
     bound = complex_.index_bound(g)
     dims = [complex_.piece_dim(n, g) for n in range(bound + 2)]
-    mats = [complex_.differential(n, g) for n in range(1, bound + 2)]
-    for n in range(1, bound + 1):
-        if dims[n] and not is_zero(matmul(mats[n - 1], mats[n])):
-            raise ChainComplexError(
-                f"differentials {n} and {n + 1} do not compose to zero at {g}"
-            )
     ranks = [0] * (bound + 3)
+    # one differential is held at a time, besides the one it is composed with;
+    # a map out of or into a zero piece is empty and is never built
+    previous = None
     for n in range(1, bound + 2):
-        if dims[n] and dims[n - 1]:
-            ranks[n] = rank(mats[n - 1], characteristic)
+        current = complex_.differential(n, g) if dims[n - 1] and dims[n] else None
+        if previous and current and not is_zero(matmul(previous, current)):
+            raise ChainComplexError(
+                f"differentials {n - 1} and {n} do not compose to zero at {g}"
+            )
+        if current:
+            ranks[n] = rank(current, characteristic)
+        previous = current
     homology = [dims[n] - ranks[n] - ranks[n + 1] for n in range(bound + 1)]
     return dims, homology
 

@@ -8,6 +8,8 @@ field, plain Gaussian elimination with modular inverses is used.
 
 from __future__ import annotations
 
+from itertools import compress
+
 IntMatrix = list[list[int]]
 
 
@@ -16,7 +18,7 @@ def zero_matrix(rows: int, cols: int) -> IntMatrix:
 
 
 def is_zero(matrix: IntMatrix) -> bool:
-    return all(entry == 0 for row in matrix for entry in row)
+    return not any(map(any, matrix))
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -25,16 +27,14 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = len(b[0]) if b else 0
     if a and len(a[0]) != inner:
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {inner}x{cols}")
+    # Koszul differentials are sparse: visit only nonzero entries, found by compress
+    sparse_b = [[(j, row[j]) for j in compress(range(cols), row)] for row in b]
     out = zero_matrix(rows, cols)
-    for i in range(rows):
-        row = a[i]
-        for k in range(inner):
+    for row, target in zip(a, out):
+        for k in compress(range(inner), row):
             coeff = row[k]
-            if coeff:
-                target = out[i]
-                source = b[k]
-                for j in range(cols):
-                    target[j] += coeff * source[j]
+            for j, v in sparse_b[k]:
+                target[j] += coeff * v
     return out
 
 

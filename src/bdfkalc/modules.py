@@ -21,7 +21,6 @@ from .degrees import (
     Degree,
     SupportDescriptor,
     Window,
-    WindowError,
     candidate_degrees,
     grlex_sorted,
     unit,
@@ -255,9 +254,6 @@ class GradedPiece:
 class ModuleExpr:
     """Constructive graded module; subclasses enumerate bases degreewise."""
 
-    def piece(self, ring: RingSpec, g: Degree, window: Window | None = None) -> GradedPiece:
-        return graded_piece(self, ring, g, window)
-
     def _labels(self, ring: RingSpec, g: Degree) -> Iterator[BasisLabel]:
         raise NotImplementedError
 
@@ -465,21 +461,13 @@ def _graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
     return GradedPiece(g, tuple(basis))
 
 
-def graded_piece(
-    module: ModuleExpr, ring: RingSpec, g: Degree, window: Window | None = None
-) -> GradedPiece:
+def graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
     """The (finite) monomial basis of the module's piece in degree g."""
-    if window is not None and not window.contains(g):
-        raise WindowError(f"degree {g} is outside the window")
     return _graded_piece(module, ring, g)
 
 
 def var_action(
-    module: ModuleExpr,
-    ring: RingSpec,
-    variable: int | str,
-    g: Degree,
-    window: Window | None = None,
+    module: ModuleExpr, ring: RingSpec, variable: int | str, g: Degree
 ) -> list[list[int]]:
     """Matrix of multiplication by a variable, piece at g -> piece at g + deg.
 
@@ -487,11 +475,8 @@ def var_action(
     or 1 since a monomial maps to a monomial or dies in a quotient.
     """
     pos = ring.position(variable) if isinstance(variable, str) else variable
-    vdeg = ring.degree_of(pos)
-    if window is not None and (not window.contains(g) or not window.contains(g + vdeg)):
-        raise WindowError(f"action at {g} leaves the window")
     source = graded_piece(module, ring, g)
-    target = graded_piece(module, ring, g + vdeg)
+    target = graded_piece(module, ring, g + ring.degree_of(pos))
     index = {label: row for row, label in enumerate(target.basis)}
     matrix = [[0] * source.dimension for _ in range(target.dimension)]
     for col, label in enumerate(source.basis):

@@ -30,6 +30,7 @@ from bdfkalc import (
     minimal_resolution_shape,
     residue_field,
     series_from_terms,
+    serre_product,
     tor_k,
     torsion_dimension,
     unit,
@@ -59,6 +60,19 @@ class TestLinalg:
             cols = rng.randint(0, 4)
             matrix = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             assert rank_fraction_free(matrix) == fraction_rank(matrix)
+
+    def test_matmul_matches_the_plain_triple_sum(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            # with no inner dimension, b has no rows to carry its column count
+            rows, inner, cols = rng.randint(0, 4), rng.randint(1, 4), rng.randint(0, 4)
+            a = [[rng.choice((0, 0, 1, -2)) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.choice((0, 0, 3, -1)) for _ in range(cols)] for _ in range(inner)]
+            expected = [
+                [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                for i in range(rows)
+            ]
+            assert matmul(a, b) == expected
 
     def test_prime_field_rank_differs_where_it_should(self):
         assert rank_fraction_free([[2]]) == 1
@@ -341,6 +355,39 @@ class _BrokenComplex:
         rows = self.piece_dim(n - 1, g)
         cols = self.piece_dim(n, g)
         return [[0] * cols for _ in range(rows)]
+
+
+class _NoncommutingQuotient(MonomialQuotient):
+    """The ring with a broken action: x2 kills every multiple of x1, x1 acts freely.
+
+    On 1 the two orders disagree (x1 * x2 = x1x2 but x2 * x1 = 0), so
+    Koszul differentials over it do not compose to zero in degree (1,1).
+    """
+
+    def multiply_label(self, ring, label, pos):
+        if pos == 2 and label.monomial.exponent(1):
+            return None
+        return super().multiply_label(ring, label, pos)
+
+
+class TestChainLawEverywhere:
+    BROKEN = _NoncommutingQuotient(())
+
+    def test_betti_table_rejects_a_noncommuting_action(self):
+        with pytest.raises(ChainComplexError):
+            betti_table(self.BROKEN, KXY, W33)
+
+    def test_tor_torsion_dimension_and_serre_reject_it(self):
+        with pytest.raises(ChainComplexError):
+            tor_k(self.BROKEN, KXY, 1, degree(1, 1))
+        with pytest.raises(ChainComplexError):
+            torsion_dimension(self.BROKEN, KXY, degree(1, 1), W33)
+        with pytest.raises(ChainComplexError):
+            serre_product(residue_field(KXY), self.BROKEN, KXY, W33)
+
+    def test_degrees_below_the_defect_still_compute(self):
+        assert tor_k(self.BROKEN, KXY, 0, ZERO) == 1
+        assert tor_k(self.BROKEN, KXY, 1, degree(1, 0)) == 0
 
 
 class TestEuler:
