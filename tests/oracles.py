@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a different route than the
 library: dense convolution instead of windowed products, Fraction
 elimination instead of fraction-free elimination, raw product-and-filter
-counting instead of recursive monomial enumeration.
+counting instead of recursive monomial enumeration, and a per-degree
+product against lazy series instead of a convolution over the finite side.
 """
 
 from __future__ import annotations
@@ -48,23 +49,46 @@ def fraction_rank(matrix) -> int:
     return rank
 
 
-def count_monomials(var_degrees: list[tuple[int, ...]], target: tuple[int, ...]) -> int:
-    """Count exponent vectors whose weighted degree sum hits the target exactly."""
+def exponent_vectors(var_degrees: list[tuple[int, ...]], target: tuple[int, ...]):
+    """Every exponent vector in the bounding box whose weighted degree sum is the target."""
     if any(t < 0 for t in target):
-        return 0
+        return
     bounds = []
     for d in var_degrees:
         limit = min((t // c for t, c in zip(target, d) if c), default=0)
         bounds.append(max(limit, 0))
     width = len(target)
-    count = 0
     for exps in itertools.product(*(range(b + 1) for b in bounds)):
         weighted = tuple(
             sum(e * d[i] for e, d in zip(exps, var_degrees)) for i in range(width)
         )
         if weighted == target:
-            count += 1
-    return count
+            yield exps
+
+
+def count_monomials(var_degrees: list[tuple[int, ...]], target: tuple[int, ...]) -> int:
+    """Count exponent vectors whose weighted degree sum hits the target exactly."""
+    return sum(1 for _ in exponent_vectors(var_degrees, target))
+
+
+def lazy_mul_q(q, s):
+    """``mul_q`` by its per-degree definition, as the library computed it before.
+
+    Each candidate degree g of the windowed factor pulls the lazy
+    coefficient at g - v for every stored term v.
+    """
+    from bdfkalc import LaurentSeries
+
+    coeffs: dict[Degree, int] = {}
+    for g in candidate_degrees(s.support, s.window):
+        total = 0
+        for v, cv in s.terms:
+            u = g - v
+            if u.is_nonnegative():
+                total += q.coeff(u) * cv
+        if total:
+            coeffs[g] = total
+    return LaurentSeries(s.window, s.support, coeffs)
 
 
 def random_degree(rng, coords: int, lo: int, hi: int) -> Degree:

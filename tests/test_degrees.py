@@ -21,6 +21,16 @@ small_degrees = st.builds(
     lambda coords: Degree.of(enumerate(coords, start=1)),
     st.lists(st.integers(min_value=-3, max_value=3), max_size=4),
 )
+# sparse vectors over six coordinates: zeros are common, so supports often overlap
+# only partly or not at all
+WIDTH = 6
+dense_vectors = st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2]), min_size=WIDTH, max_size=WIDTH)
+
+
+def from_dense(vector):
+    return Degree.of(enumerate(vector, start=1))
+
+
 small_q = st.builds(
     lambda coords: Degree.of(enumerate(coords, start=1)),
     st.lists(st.integers(min_value=0, max_value=3), max_size=3),
@@ -50,6 +60,38 @@ class TestDegree:
         d = Degree.of({1: 2, 3: -1})
         assert d.to_json() == [[1, 2], [3, -1]]
         assert str(d) == "2e1-e3"
+
+
+class TestAgainstDenseVectors:
+    @given(dense_vectors, dense_vectors)
+    def test_sum_and_difference(self, a, b):
+        g, h = from_dense(a), from_dense(b)
+        assert (g + h).dense(WIDTH) == tuple(x + y for x, y in zip(a, b))
+        assert (g - h).dense(WIDTH) == tuple(x - y for x, y in zip(a, b))
+        assert (g + h) == from_dense([x + y for x, y in zip(a, b)])
+        assert (g - h) == from_dense([x - y for x, y in zip(a, b)])
+
+    @given(dense_vectors, dense_vectors)
+    def test_order_and_minimum(self, a, b):
+        g, h = from_dense(a), from_dense(b)
+        assert leq_q(g, h) == all(x <= y for x, y in zip(a, b))
+        assert componentwise_min(g, h) == from_dense([min(x, y) for x, y in zip(a, b)])
+
+    @given(dense_vectors)
+    def test_cancellation_to_zero(self, a):
+        g = from_dense(a)
+        assert g - g == ZERO and (g - g).entries == ()
+        assert g + from_dense([-x for x in a]) == ZERO
+        assert leq_q(g - g, ZERO) and leq_q(ZERO, g - g)
+
+    def test_disjoint_supports(self):
+        odd, even = degree(2, 0, -1, 0, 3), degree(0, -1, 0, 4)
+        assert (odd + even).entries == ((1, 2), (2, -1), (3, -1), (4, 4), (5, 3))
+        assert (odd - even).entries == ((1, 2), (2, 1), (3, -1), (4, -4), (5, 3))
+        assert (even - odd).entries == ((1, -2), (2, -1), (3, 1), (4, 4), (5, -3))
+        assert not leq_q(odd, even) and not leq_q(even, odd)
+        assert leq_q(degree(0, -1), degree(2)) and not leq_q(degree(2), degree(0, 1))
+        assert componentwise_min(odd, even) == degree(0, -1, -1, 0, 0)
 
 
 class TestOrder:

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdfkalc import (
     RING_MODULE,
     ZERO,
+    Degree,
     DirectSum,
     FreeModule,
     Monomial,
@@ -15,29 +18,44 @@ from bdfkalc import (
     ShiftedModule,
     Window,
     add,
+    candidate_degrees,
     degree,
     eq_on_window,
     graded_piece,
     hilbert,
+    invert,
     kseries,
     monomial_series,
     monomials_of_degree,
     mul,
     mul_q,
     ring_hilbert,
+    ring_hilbert_inverse,
     series_from_terms,
     truncate,
     unit,
     validate_ring,
     var_action,
 )
-from oracles import count_monomials
+from oracles import count_monomials, exponent_vectors
+from bdfkalc.degrees import FULL_Q
 from bdfkalc.linalg import matmul
 
 KXY = RingSpec.standard(2)
 W44 = Window.of([degree(4, 4)])
 XY = MonomialQuotient.of([Monomial(((1, 1), (2, 1)))])
 XY_IDEAL = MonomialIdeal.of([Monomial(((1, 1), (2, 1)))])
+
+# 1-4 variables, each of a nonzero degree with up to 3 components in 0..2
+small_rings = st.lists(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3).filter(any),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda degs: RingSpec.of(
+        (f"x{k}", Degree.of(enumerate(d, start=1))) for k, d in enumerate(degs, start=1)
+    )
+)
 
 
 class TestValidateRing:
@@ -97,6 +115,16 @@ class TestRingHilbert:
                 assert ring_hilbert(ring).coeff(degree(a, b)) == count_monomials(
                     var_degrees, (a, b)
                 )
+
+
+class TestRingHilbertInverse:
+    @given(small_rings)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_inverting_the_hilbert_series(self, ring):
+        expected = invert(ring_hilbert(ring))
+        got = ring_hilbert_inverse(ring)
+        for g in candidate_degrees(FULL_Q, Window.of([degree(2, 2, 2)])):
+            assert got.coeff(g) == expected.coeff(g)
 
 
 class TestGradedPiece:
@@ -281,3 +309,22 @@ class TestMonomialEnumeration:
 
     def test_out_of_quadrant_degree_has_no_monomials(self):
         assert monomials_of_degree(KXY, degree(-1, 2)) == ()
+
+    def test_matches_box_enumeration_with_multi_component_degrees(self):
+        ring = RingSpec.of(
+            [
+                ("a", degree(2, 1)),
+                ("b", unit(1)),
+                ("c", degree(1, 1, 1)),
+                ("d", degree(0, 1)),
+                ("e", degree(0, 2, 1)),
+            ]
+        )
+        var_degrees = [v.degree.dense(3) for v in ring.variables]
+        for g in candidate_degrees(FULL_Q, Window.of([degree(4, 3, 2)])):
+            expected = [
+                Monomial(tuple((pos, e) for pos, e in enumerate(exps, start=1) if e))
+                for exps in exponent_vectors(var_degrees, g.dense(3))
+            ]
+            expected.sort(key=lambda m: m.key(len(var_degrees)))
+            assert monomials_of_degree(ring, g) == tuple(expected)

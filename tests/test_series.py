@@ -25,7 +25,7 @@ from bdfkalc import (
     truncate,
     zero_series,
 )
-from oracles import convolve, random_series, random_window
+from oracles import convolve, lazy_mul_q, random_series, random_window
 
 W33 = Window.of([degree(3, 3)])
 
@@ -189,6 +189,47 @@ class TestMulQ:
         result = mul_q(geom, shifted)
         assert result.window == w
         assert [c for _, c in result.terms] == [1, 1, 1]
+
+
+class TestMulQMatchesPerDegreeOracle:
+    """``mul_q`` against its per-degree definition, term for term."""
+
+    LAZY = invert(QSeries.from_terms({ZERO: 1, degree(1): -1, degree(0, 1): -2, degree(1, 1): 1}))
+    POLYNOMIAL = QSeries.from_terms({ZERO: 1, degree(1): -1, degree(0, 1): -1, degree(2, 1): 3})
+
+    def test_lazy_and_polynomial_factors_on_random_series(self):
+        # random supports have lower bounds with negative components
+        rng = random.Random(29)
+        for _ in range(60):
+            w = random_window(rng, 2, 3)
+            s = random_series(rng, w, 2, max_terms=5)
+            for q in (self.LAZY, self.POLYNOMIAL):
+                assert mul_q(q, s) == lazy_mul_q(q, s)
+
+    def test_window_with_two_ceilings(self):
+        w = Window.of([degree(4, 1), degree(1, 3)])
+        s = series_from_terms({ZERO: 2, degree(1, 1): -1, degree(3, 0): 4, degree(0, 3): 1}, w)
+        assert len(w.ceiling) == 2
+        for q in (self.LAZY, self.POLYNOMIAL):
+            assert mul_q(q, s) == lazy_mul_q(q, s)
+
+    def test_supports_with_nonzero_lower_bounds(self):
+        from bdfkalc import FreeModule, Monomial, MonomialQuotient, RingSpec, ShiftedModule, hilbert
+
+        ring = RingSpec.standard(2)
+        xy = MonomialQuotient.of([Monomial(((1, 1), (2, 1)))])
+        w = Window.of([degree(4, 3), degree(2, 4)])
+        modules = [
+            FreeModule.of([degree(1, 0), degree(0, 2), degree(1, 1)]),
+            FreeModule.of([degree(-1, 0), degree(2, -1)]),
+            ShiftedModule(xy, degree(1, 2)),
+            ShiftedModule(xy, degree(-2, 1)),
+        ]
+        for module in modules:
+            s = hilbert(module, ring, w)
+            assert s.support.lower_bounds != (ZERO,)
+            for q in (self.LAZY, self.POLYNOMIAL):
+                assert mul_q(q, s) == lazy_mul_q(q, s)
 
 
 class TestInvert:
