@@ -17,8 +17,8 @@ computation here terminate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 
 class WindowError(Exception):
@@ -46,7 +46,7 @@ class Degree:
 
     @staticmethod
     def of(items: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Degree":
-        pairs = items.items() if isinstance(items, Mapping) else items
+        pairs = items.items() if hasattr(items, "items") else items
         merged: dict[int, int] = {}
         for index, coeff in pairs:
             merged[index] = merged.get(index, 0) + coeff
@@ -58,14 +58,40 @@ class Degree:
                 return c
         return 0
 
+    def _combined(self, other: "Degree", sign: int) -> "Degree":
+        """self + sign * other, merging the two sorted entry tuples."""
+        a, b = self.entries, other.entries
+        if not b:
+            return self
+        merged = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ia, ca = a[i]
+            ib, cb = b[j]
+            if ia < ib:
+                merged.append(a[i])
+                i += 1
+            elif ib < ia:
+                merged.append((ib, sign * cb))
+                j += 1
+            else:
+                c = ca + sign * cb
+                if c:
+                    merged.append((ia, c))
+                i += 1
+                j += 1
+        merged += a[i:]
+        merged += [(ib, sign * cb) for ib, cb in b[j:]]
+        return Degree(tuple(merged))
+
     def __add__(self, other: "Degree") -> "Degree":
-        return Degree.of(list(self.entries) + list(other.entries))
+        return self._combined(other, 1)
 
     def __neg__(self) -> "Degree":
         return Degree(tuple((i, -c) for i, c in self.entries))
 
     def __sub__(self, other: "Degree") -> "Degree":
-        return self + (-other)
+        return self._combined(other, -1)
 
     def scaled(self, factor: int) -> "Degree":
         if factor == 0:
@@ -115,7 +141,11 @@ def degree(*coords: int) -> Degree:
 
 def leq_q(g: Degree, h: Degree) -> bool:
     """The partial order induced by Q: g <= h iff h - g has no negative component."""
-    return (h - g).is_nonnegative()
+    slack = dict(h.entries)
+    for i, c in g.entries:
+        if slack.pop(i, 0) < c:
+            return False
+    return all(c > 0 for c in slack.values())
 
 
 def componentwise_min(g: Degree, h: Degree) -> Degree:

@@ -25,7 +25,7 @@ from .degrees import (
     grlex_sorted,
     unit,
 )
-from .series import LaurentSeries, QSeries, invert, mul_q
+from .series import LaurentSeries, QSeries, mul_q
 
 
 @dataclass(frozen=True)
@@ -190,31 +190,33 @@ ONE_MONOMIAL = Monomial()
 def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
     """All monomials of multidegree g, in graded-lex order on exponents.
 
-    Bounded multiset enumeration: each variable of degree d can appear at
-    most min_i(remaining_i / d_i) times, and a remainder outside the
-    nonnegative orthant can never be completed.
+    Bounded multiset enumeration on dense integer tuples: each variable of
+    degree d can appear at most min_i(remaining_i / d_i) times, and a
+    Monomial is built only once the remainder reaches zero.
     """
+    if not g.is_nonnegative():
+        return ()
     num_vars = len(ring.variables)
+    width = max([g.max_index()] + [v.degree.max_index() for v in ring.variables])
+    dense = [v.degree.dense(width) for v in ring.variables]
     out: list[Monomial] = []
 
-    def extend(pos: int, remaining: Degree, picked: list[tuple[int, int]]) -> None:
-        if not remaining.is_nonnegative():
-            return
-        if remaining == ZERO:
+    def extend(pos: int, remaining: tuple[int, ...], picked: list[tuple[int, int]]) -> None:
+        if not any(remaining):
             out.append(Monomial(tuple(picked)))
             return
         if pos > num_vars:
             return
-        d = ring.variables[pos - 1].degree
-        bound = min(remaining.coeff(i) // c for i, c in d.entries)
+        d = dense[pos - 1]
+        bound = min(r // c for r, c in zip(remaining, d) if c)
         for e in range(bound + 1):
             if e:
                 picked.append((pos, e))
-            extend(pos + 1, remaining - d.scaled(e), picked)
+            extend(pos + 1, tuple(r - e * c for r, c in zip(remaining, d)), picked)
             if e:
                 picked.pop()
 
-    extend(1, g, [])
+    extend(1, g.dense(width), [])
     return tuple(sorted(out, key=lambda m: m.key(num_vars)))
 
 
@@ -230,7 +232,13 @@ def ring_hilbert(ring: RingSpec) -> QSeries:
 
 @lru_cache(maxsize=None)
 def ring_hilbert_inverse(ring: RingSpec) -> QSeries:
-    return invert(ring_hilbert(ring))
+    """The inverse of H(ring): the polynomial prod_i (1 - t^deg x_i), at most 2^n terms."""
+    require_valid(ring)
+    terms = {ZERO: 1}
+    for v in ring.variables:
+        for g, c in list(terms.items()):
+            terms[g + v.degree] = terms.get(g + v.degree, 0) - c
+    return QSeries.from_terms(terms, "(H(ring))^-1")
 
 
 @dataclass(frozen=True)

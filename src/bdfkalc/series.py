@@ -5,8 +5,9 @@ coefficients, valid exactly on a window region; reading outside the window
 is an error rather than a silent zero, because a truncated series knows
 nothing there.  A :class:`QSeries` is a total, lazily memoized coefficient
 oracle supported on the nonnegative orthant; ring-level series (a ring's
-Hilbert series and its inverse) are of this kind so that products against
-windowed series stay exact on the windowed factor's full window.
+Hilbert series, and its inverse, a finite polynomial built by ``from_terms``)
+are of this kind so that products against windowed series stay exact on
+the windowed factor's full window.
 """
 
 from __future__ import annotations
@@ -219,21 +220,19 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def mul_q(q: QSeries, s: LaurentSeries) -> LaurentSeries:
-    """Product of a lazy nonnegative series with a windowed series.
+    """Product of a nonnegative series with a windowed series, exact on its window.
 
-    Exact on the windowed factor's whole window: each contribution pulls
-    the lazy coefficient at g - v, always available from the oracle, and
-    v stays below g inside the downward-closed window.
+    A term q_u * s_v lands at g = u + v with v above a support lower bound
+    lb, so a g in the window needs u only below the window moved by -lb.
+    The loop convolves q, truncated there, with the stored terms of s.
     """
+    reach = Window.of(u - lb for u in s.window.ceiling for lb in s.support.lower_bounds)
     coeffs: dict[Degree, int] = {}
-    for g in candidate_degrees(s.support, s.window):
-        total = 0
+    for u, cu in truncate(q, reach).terms:
         for v, cv in s.terms:
-            u = g - v
-            if u.is_nonnegative():
-                total += q.coeff(u) * cv
-        if total:
-            coeffs[g] = total
+            g = u + v
+            if s.window.contains(g):
+                coeffs[g] = coeffs.get(g, 0) + cu * cv
     return LaurentSeries(s.window, s.support, coeffs)
 
 

@@ -8,7 +8,19 @@ through it, and restores the package.
 
 from pathlib import Path
 
-from bdfkalc import Monomial, MonomialQuotient, RingSpec, Window, degree, homology
+from bdfkalc import (
+    FreeModule,
+    Monomial,
+    MonomialQuotient,
+    QSeries,
+    RingSpec,
+    Window,
+    degree,
+    grothendieck,
+    homology,
+    series,
+    variable_quotient,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -29,3 +41,31 @@ def test_traced_names_resolve(monkeypatch):
     assert homology.betti_table is original
     seen = tracer.by_name()
     assert {"homology.betti_table", "homology.complex_snapshot", "linalg.rank_q"} <= set(seen)
+
+
+def test_series_layer_is_traced(monkeypatch):
+    """The series spans and the per-call Degree and QSeries counters see real work.
+
+    Renaming ``mul_q`` or ``QSeries._oracle``, or building degrees without
+    ``Degree.__init__``, would leave these metrics at 0 in the benchmark.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    ring = RingSpec.standard(2)
+    window = Window.of([degree(2, 2)])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(counting=True)
+        left = variable_quotient(ring, [1])
+        right = FreeModule.of([degree(0, 1)])
+        grothendieck.serre_product(left, right, ring, window)
+        grothendieck.class_of(right, ring, window)
+        geometric = QSeries.from_terms({degree(): 1, degree(1): -1})
+        series.truncate(series.invert(geometric), window)
+    finally:
+        tracer.restore()
+    seen = tracer.by_name()
+    assert {"series.mul_q", "series.invert", "grothendieck.serre_product", "grothendieck.class_of"} <= set(seen)
+    assert tracer.counts["degrees.degree_objects"] > 0
+    assert tracer.counts["series.qseries.coeff_calls"] > 0

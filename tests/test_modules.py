@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from bdfkalc import (
     var_action,
 )
 from oracles import count_monomials, exponent_vectors
+from bdfkalc import modules
 from bdfkalc.degrees import FULL_Q
 from bdfkalc.linalg import matmul
 
@@ -297,6 +299,28 @@ class TestKSeries:
             s = series_from_terms(terms, W44)
             through = mul_q(ring_hilbert_inverse(KXY), mul_q(ring_hilbert(KXY), s))
             assert eq_on_window(through, s, W44)
+
+
+class TestKSeriesBudget:
+    def test_two_generator_quotient_on_window_888(self):
+        # a generous regression guard: this takes about 0.2 s in process, and
+        # took 4.3 s when the ring inverse came from the downset recursion
+        ring = RingSpec.standard(3)
+        module = MonomialQuotient.of([Monomial(((1, 1), (2, 1))), Monomial(((2, 1), (3, 1)))])
+        window = Window.of([degree(8, 8, 8)])
+        for cached in (modules.monomials_of_degree, modules._graded_piece, modules.ring_hilbert_inverse):
+            cached.cache_clear()
+        started = time.perf_counter()
+        result = kseries(module, ring, window)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 2.0, f"kseries took {elapsed:.2f}s (budget 2s)"
+        # K(R/(x1x2, x2x3)) = 1 - t1t2 - t2t3 + t1t2t3, from the lcm lattice of the generators
+        assert dict(result.terms) == {
+            ZERO: 1,
+            degree(1, 1, 0): -1,
+            degree(0, 1, 1): -1,
+            degree(1, 1, 1): 1,
+        }
 
 
 class TestMonomialEnumeration:
