@@ -226,7 +226,7 @@ def mul_q(q: QSeries, s: LaurentSeries) -> LaurentSeries:
     lb, so a g in the window needs u only below the window moved by -lb.
     The loop convolves q, truncated there, with the stored terms of s.
     """
-    reach = Window.of(u - lb for u in s.window.ceiling for lb in s.support.lower_bounds)
+    reach = Window.of(top - lb for top in s.window.ceiling for lb in s.support.lower_bounds)
     coeffs: dict[Degree, int] = {}
     for u, cu in truncate(q, reach).terms:
         for v, cv in s.terms:

@@ -9,6 +9,7 @@ through it, and restores the package.
 from pathlib import Path
 
 from bdfkalc import (
+    ZERO,
     FreeModule,
     Monomial,
     MonomialQuotient,
@@ -61,7 +62,7 @@ def test_series_layer_is_traced(monkeypatch):
         right = FreeModule.of([degree(0, 1)])
         grothendieck.serre_product(left, right, ring, window)
         grothendieck.class_of(right, ring, window)
-        geometric = QSeries.from_terms({degree(): 1, degree(1): -1})
+        geometric = QSeries.from_terms({ZERO: 1, degree(1): -1})
         series.truncate(series.invert(geometric), window)
     finally:
         tracer.restore()

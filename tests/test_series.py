@@ -5,15 +5,21 @@ import pytest
 
 from bdfkalc import (
     ZERO,
+    FreeModule,
     LaurentSeries,
+    Monomial,
+    MonomialQuotient,
     NotInvertibleError,
     QSeries,
+    RingSpec,
+    ShiftedModule,
     SupportDescriptor,
     Window,
     WindowError,
     add,
     degree,
     eq_on_window,
+    hilbert,
     invert,
     monomial_series,
     mul,
@@ -214,8 +220,6 @@ class TestMulQMatchesPerDegreeOracle:
             assert mul_q(q, s) == lazy_mul_q(q, s)
 
     def test_supports_with_nonzero_lower_bounds(self):
-        from bdfkalc import FreeModule, Monomial, MonomialQuotient, RingSpec, ShiftedModule, hilbert
-
         ring = RingSpec.standard(2)
         xy = MonomialQuotient.of([Monomial(((1, 1), (2, 1)))])
         w = Window.of([degree(4, 3), degree(2, 4)])
