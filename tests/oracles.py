@@ -2,9 +2,11 @@
 
 Everything here recomputes expected values by a different route than the
 library: dense convolution instead of windowed products, Fraction
-elimination instead of fraction-free elimination, raw product-and-filter
-counting instead of recursive monomial enumeration, and a per-degree
-product against lazy series instead of a convolution over the finite side.
+elimination instead of fraction-free elimination, elimination mod p on the
+whole matrix instead of block by block, raw product-and-filter counting
+instead of recursive monomial enumeration, a per-degree product against
+lazy series instead of a convolution over the finite side, and Koszul
+differentials built entry by entry from (Wedge, BasisLabel) lookups.
 """
 
 from __future__ import annotations
@@ -47,6 +49,52 @@ def fraction_rank(matrix) -> int:
         if r == m:
             break
     return rank
+
+
+def dense_rank_mod_p(matrix, p: int) -> int:
+    """Rank over the field with p elements by Gaussian elimination on the whole matrix."""
+    rows = [[entry % p for entry in row] for row in matrix]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    rank = 0
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        for i in range(r + 1, m):
+            factor = (rows[i][col] * inv) % p
+            if factor:
+                for j in range(col, n):
+                    rows[i][j] = (rows[i][j] - factor * rows[r][j]) % p
+        rank += 1
+        r += 1
+        if r == m:
+            break
+    return rank
+
+
+def koszul_differential_by_labels(module, ring, seq, n: int, g: Degree):
+    """The n-th Koszul differential in degree g, one entry at a time.
+
+    Each column multiplies its label by every variable of its wedge afresh,
+    and each image finds its row through a dict keyed by (Wedge, BasisLabel).
+    """
+    from bdfkalc import Wedge, koszul_piece
+
+    source = koszul_piece(module, ring, seq, n, g)
+    target = koszul_piece(module, ring, seq, n - 1, g)
+    index = {element: row for row, element in enumerate(target.basis)}
+    matrix = [[0] * source.dimension for _ in range(target.dimension)]
+    for col, (w, label) in enumerate(source.basis):
+        for slot, pos in enumerate(w.positions):
+            image = module.multiply_label(ring, label, pos)
+            if image is not None:
+                dropped = Wedge(w.positions[:slot] + w.positions[slot + 1 :])
+                matrix[index[(dropped, image)]][col] += (-1) ** slot
+    return matrix
 
 
 def exponent_vectors(var_degrees: list[tuple[int, ...]], target: tuple[int, ...]):

@@ -2,22 +2,28 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bdfkalc import (
     RING_MODULE,
     ZERO,
     AugmentedKoszulComplex,
     ChainComplexError,
+    DirectSum,
     FreeModule,
     KoszulTensorComplex,
     Monomial,
+    MonomialIdeal,
     MonomialQuotient,
     RingSpec,
+    ShiftedModule,
     SupportDescriptor,
     Window,
     ZeroDifferentialComplex,
     all_variables,
     betti_table,
+    candidate_degrees,
     degree,
     eq_on_window,
     euler_check,
@@ -45,11 +51,34 @@ from bdfkalc.linalg import (
     rank_fraction_free,
     rank_mod_p,
 )
-from oracles import fraction_rank
+from oracles import dense_rank_mod_p, fraction_rank, koszul_differential_by_labels
 
 KXY = RingSpec.standard(2)
 W33 = Window.of([degree(3, 3)])
 XY = MonomialQuotient.of([Monomial(((1, 1), (2, 1)))])
+
+
+@st.composite
+def shuffled_block_matrices(draw):
+    """Random blocks placed down the diagonal, then rows and columns shuffled.
+
+    A block with no rows adds zero columns and one with no columns adds
+    zero rows; entries that vanish mod 2, 3 or 32003 are drawn often.
+    """
+    shapes = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4))
+    rows = sum(r for r, _ in shapes)
+    cols = sum(c for _, c in shapes)
+    matrix = [[0] * cols for _ in range(rows)]
+    top = left = 0
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, 6, 32003])
+    for r, c in shapes:
+        for i in range(top, top + r):
+            for j in range(left, left + c):
+                matrix[i][j] = draw(entries)
+        top, left = top + r, left + c
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    return [[matrix[i][j] for j in col_order] for i in row_order]
 
 
 class TestLinalg:
@@ -73,6 +102,17 @@ class TestLinalg:
                 for i in range(rows)
             ]
             assert matmul(a, b) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_block_matrices())
+    @example([])  # 0 x n
+    @example([[], [], []])  # n x 0
+    @example([[0, 0], [0, 0]])
+    @example([[7]])
+    @example([[32003]])
+    def test_rank_mod_p_matches_whole_matrix_elimination(self, matrix):
+        for p in (2, 3, 32003):
+            assert rank_mod_p(matrix, p) == dense_rank_mod_p(matrix, p)
 
     def test_prime_field_rank_differs_where_it_should(self):
         assert rank_fraction_free([[2]]) == 1
@@ -175,6 +215,39 @@ class TestKoszulDifferential:
                     d_n = koszul_differential(module, ring, seq, n, g)
                     d_prev = koszul_differential(module, ring, seq, n - 1, g)
                     assert is_zero(matmul(d_prev, d_n))
+
+
+class TestKoszulDifferentialOracle:
+    """koszul_differential equals the entry-by-entry (Wedge, BasisLabel) construction."""
+
+    R3 = RingSpec.standard(3)
+    QUOTIENT = MonomialQuotient.of([Monomial(((1, 1), (2, 1))), Monomial(((2, 2), (3, 1)))])
+    IDEAL = MonomialIdeal.of([Monomial(((1, 2),)), Monomial(((2, 1), (3, 1)))])
+    MATRIX_RING = RingSpec.matrix_ring([2, 2])
+
+    def cases(self):
+        r3_window = Window.of([degree(2, 2, 1)])
+        yield self.R3, self.QUOTIENT, r3_window
+        yield self.R3, self.IDEAL, r3_window
+        yield self.R3, FreeModule.of([degree(-1, 0, 0), ZERO, degree(0, 1, 1)]), r3_window
+        yield self.R3, ShiftedModule(self.QUOTIENT, degree(1, 0, -1)), r3_window
+        yield self.R3, DirectSum.of(
+            [self.QUOTIENT, FreeModule.of([unit(2)]), ShiftedModule(self.IDEAL, unit(3))]
+        ), r3_window
+        # several variables share each degree, so labels meet many wedges
+        matrix_quotient = MonomialQuotient.of([Monomial(((1, 1), (3, 1))), Monomial(((2, 2),))])
+        yield self.MATRIX_RING, matrix_quotient, Window.of([degree(2, 2)])
+        yield RP2_RING, RP2, Window.of([RP2_TOP])
+
+    def test_matches_the_label_oracle(self):
+        for ring, module, window in self.cases():
+            full = all_variables(ring)
+            for seq in (full, full[::2]):
+                for g in candidate_degrees(module.lower_bounds(ring), window):
+                    bound = koszul_index_bound(module, ring, seq, g)
+                    for n in range(1, bound + 2):
+                        expected = koszul_differential_by_labels(module, ring, seq, n, g)
+                        assert koszul_differential(module, ring, seq, n, g) == expected, (module, seq, n, g)
 
 
 class TestTor:
