@@ -73,9 +73,6 @@ class Wedge:
             result = result + ring.degree_of(pos)
         return result
 
-    def drop(self, slot: int) -> "Wedge":
-        return Wedge(self.positions[:slot] + self.positions[slot + 1 :])
-
 
 @dataclass(frozen=True)
 class KoszulPiece:
@@ -127,21 +124,32 @@ def koszul_differential(
     Dropping the slot at position l carries sign (-1)^l (first slot
     positive, so the length-1 case is plain multiplication by the
     variable) and multiplies the module element by the dropped variable.
+    Rows are looked up by plain tuples (wedge positions, label path,
+    monomial exponents), and each label is multiplied by each variable
+    once, however many wedges it is paired with.
     """
     if n < 1:
         raise ValueError("differentials start at homological index 1")
     sequence = _canonical_sequence(seq)
     source = koszul_piece(module, ring, sequence, n, g)
     target = koszul_piece(module, ring, sequence, n - 1, g)
-    index = {element: row for row, element in enumerate(target.basis)}
+    index = {
+        (w.positions, label.path, label.monomial.exps): row
+        for row, (w, label) in enumerate(target.basis)
+    }
+    images: dict[tuple, tuple | None] = {}
     matrix = zero_matrix(target.dimension, source.dimension)
     for col, (w, label) in enumerate(source.basis):
-        for slot, pos in enumerate(w.positions):
-            image = module.multiply_label(ring, label, pos)
-            if image is None:
-                continue
-            sign = 1 if slot % 2 == 0 else -1
-            matrix[index[(w.drop(slot), image)]][col] += sign
+        positions = w.positions
+        element = (label.path, label.monomial.exps)
+        for slot, pos in enumerate(positions):
+            if (element, pos) not in images:
+                product = module.multiply_label(ring, label, pos)
+                images[element, pos] = None if product is None else (product.path, product.monomial.exps)
+            image = images[element, pos]
+            if image is not None:
+                row = index[(positions[:slot] + positions[slot + 1 :],) + image]
+                matrix[row][col] += -1 if slot & 1 else 1
     return matrix
 
 

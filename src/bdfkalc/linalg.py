@@ -3,7 +3,11 @@
 Matrices are lists of rows of Python ints.  Over the rationals, rank is
 computed by fraction-free (Bareiss) elimination: every division is exact,
 so the arithmetic stays in arbitrary-precision integers.  Over a prime
-field, plain Gaussian elimination with modular inverses is used.
+field, rank is taken per diagonal block: ``blocks`` permutes the rows
+and columns by the connected components of the nonzero pattern, and
+plain Gaussian elimination with modular inverses runs on each block.
+A Koszul differential of a monomial module splits this way by the fine
+grading, into blocks far smaller than the whole matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +40,42 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             for j, v in sparse_b[k]:
                 target[j] += coeff * v
     return out
+
+
+def blocks(matrix: IntMatrix) -> list[IntMatrix]:
+    """The diagonal blocks of the matrix, zero rows and zero columns dropped.
+
+    Two columns fall in one block when some row is nonzero in both (joined
+    by union-find); a row goes with the block of its nonzero columns.  Up
+    to a permutation of rows and columns the matrix is the direct sum of
+    the blocks and zeros, so its rank over any field is the sum of theirs.
+    """
+    cols = range(len(matrix[0]) if matrix else 0)
+    parent = list(cols)
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    supported = []
+    for row in matrix:
+        nonzero = list(compress(cols, row))
+        if nonzero:
+            root = find(nonzero[0])
+            for j in nonzero[1:]:
+                parent[find(j)] = root
+            supported.append((row, nonzero[0]))
+    rows_of: dict[int, list[list[int]]] = {}
+    for row, first in supported:
+        rows_of.setdefault(find(first), []).append(row)
+    cols_of: dict[int, list[int]] = {root: [] for root in rows_of}
+    for j in cols:
+        block = cols_of.get(find(j))  # None for a zero column
+        if block is not None:
+            block.append(j)
+    return [[[row[j] for j in cols_of[root]] for row in rows] for root, rows in rows_of.items()]
 
 
 def rank_fraction_free(matrix: IntMatrix) -> int:
@@ -114,8 +154,13 @@ def check_characteristic(p: int) -> None:
 
 
 def rank_mod_p(matrix: IntMatrix, p: int) -> int:
-    """Rank over the field with p elements."""
+    """Rank over the field with p elements: the sum of the ranks of the diagonal blocks."""
     _check_prime(p)
+    return sum(_eliminate_mod_p(block, p) for block in blocks(matrix))
+
+
+def _eliminate_mod_p(matrix: IntMatrix, p: int) -> int:
+    """Rank over the field with p elements by Gaussian elimination; p is a certified prime."""
     rows = [[entry % p for entry in row] for row in matrix]
     m = len(rows)
     n = len(rows[0]) if rows else 0

@@ -12,7 +12,7 @@ is all the homology and series layers need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .degrees import (
@@ -153,7 +153,13 @@ class Monomial:
         return 0
 
     def times(self, pos: int) -> "Monomial":
-        return Monomial.of(self.exps + ((pos, 1),))
+        """This monomial multiplied by the variable at pos: one exponent goes up by one."""
+        exps = self.exps
+        for k, (p, e) in enumerate(exps):
+            if p >= pos:
+                bumped = ((pos, e + 1),) if p == pos else ((pos, 1), (p, e))
+                return Monomial(exps[:k] + bumped + exps[k + 1 :])
+        return Monomial(exps + ((pos, 1),))
 
     def divisible_by(self, other: "Monomial") -> bool:
         return all(self.exponent(p) >= e for p, e in other.exps)
@@ -192,20 +198,27 @@ def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
 
     Bounded multiset enumeration on dense integer tuples: each variable of
     degree d can appear at most min_i(remaining_i / d_i) times, and a
-    Monomial is built only once the remainder reaches zero.
+    Monomial is built only once the remainder reaches zero.  A branch
+    stops as soon as its remainder is positive in a grading component
+    that no later variable touches.
     """
     if not g.is_nonnegative():
         return ()
     num_vars = len(ring.variables)
     width = max([g.max_index()] + [v.degree.max_index() for v in ring.variables])
     dense = [v.degree.dense(width) for v in ring.variables]
+    # unreachable[pos - 1]: components no variable at pos or later touches
+    unreachable = [tuple(range(width))]
+    for d in reversed(dense):
+        unreachable.append(tuple(i for i in unreachable[-1] if not d[i]))
+    unreachable.reverse()
     out: list[Monomial] = []
 
     def extend(pos: int, remaining: tuple[int, ...], picked: list[tuple[int, int]]) -> None:
         if not any(remaining):
             out.append(Monomial(tuple(picked)))
             return
-        if pos > num_vars:
+        if any(remaining[i] for i in unreachable[pos - 1]):
             return
         d = dense[pos - 1]
         bound = min(r // c for r, c in zip(remaining, d) if c)
@@ -439,10 +452,26 @@ class MonomialQuotient(ModuleExpr):
         return FULL_Q
 
     def multiply_label(self, ring, label, pos):
+        """x_pos times a basis label, or None when the product lies in the ideal.
+
+        The label must be a basis element, so no generator divides its
+        monomial.  A generator that does not involve x_pos then cannot
+        divide the product either, so only the generators involving x_pos
+        are tested.
+        """
         product = label.monomial.times(pos)
-        if any(product.divisible_by(gen) for gen in self.gens):
+        if any(product.divisible_by(gen) for gen in self._gens_by_variable.get(pos, ())):
             return None
         return BasisLabel((), product)
+
+    @cached_property
+    def _gens_by_variable(self) -> dict[int, tuple[Monomial, ...]]:
+        """For each variable position, the generators in which it appears."""
+        table: dict[int, list[Monomial]] = {}
+        for gen in self.gens:
+            for pos, _ in gen.exps:
+                table.setdefault(pos, []).append(gen)
+        return {pos: tuple(gens) for pos, gens in table.items()}
 
     def describe(self, ring):
         if not self.gens:

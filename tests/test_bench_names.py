@@ -16,9 +16,12 @@ from bdfkalc import (
     QSeries,
     RingSpec,
     Window,
+    all_variables,
+    candidate_degrees,
     degree,
     grothendieck,
     homology,
+    linalg,
     series,
     variable_quotient,
 )
@@ -70,3 +73,40 @@ def test_series_layer_is_traced(monkeypatch):
     assert {"series.mul_q", "series.invert", "grothendieck.serre_product", "grothendieck.class_of"} <= set(seen)
     assert tracer.counts["degrees.degree_objects"] > 0
     assert tracer.counts["series.qseries.coeff_calls"] > 0
+
+
+def test_rank_spans_count_differentials_not_blocks(monkeypatch):
+    """``linalg.rank_p`` sees one call per differential, however many blocks it splits into.
+
+    The block split stays inside ``rank_mod_p``, so ``linalg.rank_p.calls``
+    keeps counting differentials, and characteristic 0 still reaches
+    ``linalg.rank_q``.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    # two variables share each degree, so differentials split into several blocks
+    ring = RingSpec.matrix_ring([2, 2])
+    module = MonomialQuotient.of([Monomial(((1, 1), (3, 1)))])
+    window = Window.of([degree(2, 2)])
+    seq = all_variables(ring)
+    split = [
+        len(linalg.blocks(homology.koszul_differential(module, ring, seq, n, g)))
+        for g in candidate_degrees(module.lower_bounds(ring), window)
+        for n in range(1, homology.koszul_index_bound(module, ring, seq, g) + 1)
+    ]
+    assert max(split) > 1
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(counting=False)
+        homology.betti_table(module, ring, window, characteristic=32003)
+        mod_p = tracer.by_name()
+        homology.betti_table(module, ring, window)
+        both = tracer.by_name()
+    finally:
+        tracer.restore()
+    built = mod_p["homology.koszul_differential"][0]
+    assert built > 0 and "linalg.rank_q" not in mod_p
+    assert mod_p["linalg.rank_p"][0] == built
+    assert both["linalg.rank_p"][0] == built
+    assert both["linalg.rank_q"][0] == both["homology.koszul_differential"][0] - built > 0

@@ -44,6 +44,7 @@ from bdfkalc import (
 )
 from bdfkalc.linalg import (
     CharacteristicError,
+    blocks,
     check_characteristic,
     is_prime,
     is_zero,
@@ -113,6 +114,35 @@ class TestLinalg:
     def test_rank_mod_p_matches_whole_matrix_elimination(self, matrix):
         for p in (2, 3, 32003):
             assert rank_mod_p(matrix, p) == dense_rank_mod_p(matrix, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_block_matrices())
+    def test_blocks_partition_the_nonzero_entries(self, matrix):
+        # number the nonzero entries, so each value names its own position
+        counter = itertools.count(1)
+        numbered = [[next(counter) if entry else 0 for entry in row] for row in matrix]
+        where = {v: (i, j) for i, row in enumerate(numbered) for j, v in enumerate(row) if v}
+        seen_rows: set[int] = set()
+        seen_cols: set[int] = set()
+        seen: list[int] = []
+        for block in blocks(numbered):
+            assert all(map(any, block)) and all(map(any, zip(*block)))
+            row_sets = [{where[v][0] for v in row if v} for row in block]
+            col_sets = [{where[v][1] for v in col if v} for col in zip(*block)]
+            assert all(len(found) == 1 for found in row_sets + col_sets)
+            rows = [found.pop() for found in row_sets]
+            cols = [found.pop() for found in col_sets]
+            assert block == [[numbered[i][j] for j in cols] for i in rows]
+            assert seen_rows.isdisjoint(rows) and seen_cols.isdisjoint(cols)
+            seen_rows.update(rows)
+            seen_cols.update(cols)
+            seen.extend(v for row in block for v in row if v)
+        assert sorted(seen) == sorted(where)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_block_matrices())
+    def test_block_ranks_sum_to_the_rank_over_q(self, matrix):
+        assert sum(rank_fraction_free(block) for block in blocks(matrix)) == fraction_rank(matrix)
 
     def test_prime_field_rank_differs_where_it_should(self):
         assert rank_fraction_free([[2]]) == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bdfkalc import (
     RING_MODULE,
     ZERO,
+    BasisLabel,
     Degree,
     DirectSum,
     FreeModule,
@@ -194,6 +195,36 @@ class TestGradedPiece:
     def test_unreduced_generators_rejected(self):
         with pytest.raises(ValueError):
             MonomialIdeal.of([Monomial(((1, 1),)), Monomial(((1, 2),))])
+
+
+monomials = st.dictionaries(st.integers(1, 6), st.integers(1, 4), max_size=4).map(
+    lambda exps: Monomial(tuple(sorted(exps.items())))
+)
+
+
+class TestMonomialProducts:
+    @given(monomials, st.integers(1, 7))
+    def test_times_bumps_one_exponent(self, m, pos):
+        assert m.times(pos) == Monomial.of(m.exps + ((pos, 1),))
+
+    def test_quotient_product_matches_checking_every_generator(self):
+        rng = random.Random(41)
+        ring = RingSpec.standard(4)
+        for _ in range(40):
+            gens = {
+                Monomial.of((rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 4))
+            }
+            quotient = MonomialQuotient.of(
+                g for g in gens if not any(o != g and g.divisible_by(o) for o in gens)
+            )
+            for g in candidate_degrees(FULL_Q, Window.of([degree(2, 1, 2, 1)])):
+                for label in graded_piece(quotient, ring, g).basis:
+                    for pos in range(1, 5):
+                        product = Monomial.of(label.monomial.exps + ((pos, 1),))
+                        dies = any(product.divisible_by(gen) for gen in quotient.gens)
+                        expected = None if dies else BasisLabel((), product)
+                        assert quotient.multiply_label(ring, label, pos) == expected
 
 
 class TestVarAction:
