@@ -5,8 +5,10 @@ library: dense convolution instead of windowed products, Fraction
 elimination instead of fraction-free elimination, elimination mod p on the
 whole matrix instead of block by block, raw product-and-filter counting
 instead of recursive monomial enumeration, a per-degree product against
-lazy series instead of a convolution over the finite side, and Koszul
-differentials built entry by entry from (Wedge, BasisLabel) lookups.
+lazy series instead of a convolution over the finite side, Koszul
+differentials built entry by entry from (Wedge, BasisLabel) lookups, and
+the Serre product of a free left factor read off the right factor's
+graded pieces instead of its Koszul homology.
 """
 
 from __future__ import annotations
@@ -95,6 +97,24 @@ def koszul_differential_by_labels(module, ring, seq, n: int, g: Degree):
                 dropped = Wedge(w.positions[:slot] + w.positions[slot + 1 :])
                 matrix[index[(dropped, image)]][col] += (-1) ** slot
     return matrix
+
+
+def flat_serre_series(shifts, n, ring, window: Window):
+    """The Serre product of a free left factor with the given shifts and n.
+
+    A free module is flat, so the only torsion is the tensor product, whose
+    piece at g has dimension sum_h dim n_(g - h); the K-series is that
+    Hilbert series times the ring's inverse.
+    """
+    from bdfkalc import LaurentSeries, graded_piece, mul_q, ring_hilbert_inverse
+
+    support = SupportDescriptor.of(shifts) + n.lower_bounds(ring)
+    coeffs: dict[Degree, int] = {}
+    for g in candidate_degrees(support, window):
+        value = sum(graded_piece(n, ring, g - h).dimension for h in shifts)
+        if value:
+            coeffs[g] = value
+    return mul_q(ring_hilbert_inverse(ring), LaurentSeries(window, support, coeffs))
 
 
 def exponent_vectors(var_degrees: list[tuple[int, ...]], target: tuple[int, ...]):

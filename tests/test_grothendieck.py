@@ -5,6 +5,7 @@ import pytest
 
 from bdfkalc import (
     RING_MODULE,
+    MonomialIdeal,
     ZERO,
     DirectSum,
     FreeModule,
@@ -26,6 +27,7 @@ from bdfkalc import (
     unit,
     variable_quotient,
 )
+from oracles import flat_serre_series
 
 KXY = RingSpec.standard(2)
 W33 = Window.of([degree(3, 3)])
@@ -118,6 +120,38 @@ class TestSerreProduct:
             lhs = serre_product(m, n, KXY, W33)
             rhs = product(class_of(m, KXY, W33), class_of(n, KXY, W33))
             assert lhs == rhs, (A, B)
+
+    def test_free_left_factors_match_the_flat_oracle(self):
+        # the same window, support and terms as the tensor product's Hilbert series
+        ring = RingSpec.standard(3)
+        window = Window.of([degree(2, 2, 2)])
+        lefts = [
+            (FreeModule.of([ZERO, unit(2)]), [ZERO, unit(2)]),
+            (ShiftedModule(FreeModule.of([unit(1)]), degree(0, 1, 1)), [degree(1, 1, 1)]),
+            (
+                DirectSum.of(
+                    [FreeModule.of([unit(3)]), ShiftedModule(RING_MODULE, degree(1, 0, 1)), FreeModule.of([ZERO, ZERO])]
+                ),
+                [unit(3), degree(1, 0, 1), ZERO, ZERO],
+            ),
+        ]
+        quotient = MonomialQuotient.of([Monomial(((1, 1), (2, 1))), Monomial(((2, 2), (3, 1)))])
+        rights = [
+            quotient,
+            MonomialIdeal.of([Monomial(((1, 2),)), Monomial(((2, 1), (3, 1)))]),
+            FreeModule.of([degree(-1, 0, 0), unit(2)]),
+            DirectSum.of([variable_quotient(ring, (2,)), ShiftedModule(quotient, unit(3))]),
+        ]
+        for left, shifts in lefts:
+            for right in rights:
+                expected = flat_serre_series(shifts, right, ring, window)
+                for characteristic in (0, 3):
+                    got = serre_product(left, right, ring, window, characteristic).series
+                    assert (got.window, got.support, got.terms) == (
+                        expected.window,
+                        expected.support,
+                        expected.terms,
+                    ), (left, right, characteristic)
 
     def test_unsupported_left_factor(self):
         with pytest.raises(UnsupportedResolutionError):

@@ -40,6 +40,7 @@ from bdfkalc import (
     tor_k,
     torsion_dimension,
     unit,
+    var_action,
     variable_quotient,
 )
 from bdfkalc.linalg import (
@@ -278,6 +279,14 @@ class TestKoszulDifferentialOracle:
                     for n in range(1, bound + 2):
                         expected = koszul_differential_by_labels(module, ring, seq, n, g)
                         assert koszul_differential(module, ring, seq, n, g) == expected, (module, seq, n, g)
+
+    def test_var_action_is_the_one_variable_differential(self):
+        for ring, module, window in self.cases():
+            for g in candidate_degrees(module.lower_bounds(ring), window):
+                for pos, variable in enumerate(ring.variables, start=1):
+                    expected = koszul_differential_by_labels(module, ring, (pos,), 1, g + variable.degree)
+                    assert var_action(module, ring, pos, g) == expected, (module, pos, g)
+                    assert var_action(module, ring, variable.name, g) == expected
 
 
 class TestTor:
