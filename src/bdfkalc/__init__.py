@@ -49,6 +49,7 @@ from .homology import (
     minimal_resolution_shape,
     tor_k,
     torsion_dimension,
+    var_action,
 )
 from .modules import (
     BasisLabel,
@@ -73,7 +74,6 @@ from .modules import (
     ring_hilbert,
     ring_hilbert_inverse,
     validate_ring,
-    var_action,
     variable_quotient,
 )
 from .series import (

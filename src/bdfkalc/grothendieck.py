@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degrees import Degree, SupportDescriptor, Window, candidate_degrees
+from .degrees import ZERO, Degree, SupportDescriptor, Window, candidate_degrees
 from .homology import _homology_dimensions
 from .modules import (
     DirectSum,
@@ -21,7 +21,6 @@ from .modules import (
     MonomialQuotient,
     RingSpec,
     ShiftedModule,
-    graded_piece,
     kseries,
     ring_hilbert_inverse,
 )
@@ -68,33 +67,31 @@ def product(a: KClass, b: KClass) -> KClass:
     return KClass(mul(a.series, b.series), f"({a.provenance}) * ({b.provenance})")
 
 
-def _quotient_variable_positions(module: ModuleExpr) -> tuple[int, ...] | None:
-    if not isinstance(module, MonomialQuotient):
-        return None
-    positions = []
-    for gen in module.gens:
-        if gen.total() != 1:
-            return None
-        positions.append(gen.exps[0][0])
-    return tuple(sorted(positions))
+def _koszul_summands(module: ModuleExpr) -> list[tuple[Degree, tuple[int, ...]]] | None:
+    """The module as summands (h, S), each the quotient by x_S shifted by h.
 
-
-def _free_shift_multiset(module: ModuleExpr) -> tuple[Degree, ...] | None:
+    A free module is the case S = ().  None when some part is not such a
+    quotient.
+    """
     if isinstance(module, FreeModule):
-        return module.shifts
+        return [(h, ()) for h in module.shifts]
+    if isinstance(module, MonomialQuotient):
+        if any(gen.total() != 1 for gen in module.gens):
+            return None
+        return [(ZERO, tuple(sorted(gen.exps[0][0] for gen in module.gens)))]
     if isinstance(module, ShiftedModule):
-        inner = _free_shift_multiset(module.inner)
+        inner = _koszul_summands(module.inner)
         if inner is None:
             return None
-        return tuple(h + module.by for h in inner)
+        return [(h + module.by, positions) for h, positions in inner]
     if isinstance(module, DirectSum):
-        shifts: list[Degree] = []
+        summands = []
         for part in module.parts:
-            inner = _free_shift_multiset(part)
+            inner = _koszul_summands(part)
             if inner is None:
                 return None
-            shifts.extend(inner)
-        return tuple(shifts)
+            summands.extend(inner)
+        return summands
     return None
 
 
@@ -107,39 +104,30 @@ def serre_product(
 ) -> KClass:
     """The class of the alternating sum of the torsion modules of (m, n).
 
-    The left factor must be a quotient by a subset of the variables (its
-    Koszul complex is the resolution) or a free module (flat, so only the
-    zeroth torsion survives).  The result agrees with the plain product
-    of the two classes on the window.
+    The left factor must be a direct sum of shifted free modules and
+    shifted quotients by subsets of the variables.  The Koszul complex on
+    each subset resolves its quotient (the empty subset resolves the ring),
+    so the torsion is the Koszul homology of n, moved up by the shift.  The
+    result agrees with the plain product of the two classes on the window.
     """
+    summands = _koszul_summands(m)
+    if summands is None:
+        raise UnsupportedResolutionError(
+            "left factor must be a direct sum of shifted free modules "
+            "and shifted quotients by variable subsets"
+        )
+    support = SupportDescriptor.of(h for h, _ in summands) + n.lower_bounds(ring)
+    coeffs = {}
+    for g in candidate_degrees(support, window):
+        value = 0
+        for h, positions in summands:
+            dims = _homology_dimensions(n, ring, positions, g - h, characteristic)
+            value += sum((-1) ** i * d for i, d in enumerate(dims))
+        if value:
+            coeffs[g] = value
+    alternating = LaurentSeries(window, support, coeffs)
     provenance = f"serre({m.describe(ring)}, {n.describe(ring)})"
-    positions = _quotient_variable_positions(m)
-    if positions is not None:
-        support = n.lower_bounds(ring)
-        coeffs = {}
-        for g in candidate_degrees(support, window):
-            dims = _homology_dimensions(n, ring, positions, g, characteristic)
-            value = sum((-1) ** i * d for i, d in enumerate(dims))
-            if value:
-                coeffs[g] = value
-        alternating = LaurentSeries(window, support, coeffs)
-        return KClass(mul_q(ring_hilbert_inverse(ring), alternating), provenance)
-
-    shifts = _free_shift_multiset(m)
-    if shifts is not None:
-        # a free left factor is flat: the only torsion is the tensor product itself
-        support = SupportDescriptor.of(shifts) + n.lower_bounds(ring)
-        coeffs = {}
-        for g in candidate_degrees(support, window):
-            value = sum(graded_piece(n, ring, g - h).dimension for h in shifts)
-            if value:
-                coeffs[g] = value
-        tensor_hilbert = LaurentSeries(window, support, coeffs)
-        return KClass(mul_q(ring_hilbert_inverse(ring), tensor_hilbert), provenance)
-
-    raise UnsupportedResolutionError(
-        "left factor must be a variable-subset quotient or a free module"
-    )
+    return KClass(mul_q(ring_hilbert_inverse(ring), alternating), provenance)
 
 
 def free_from_series(a: KClass) -> FreeModule:

@@ -78,8 +78,6 @@ class Wedge:
 class KoszulPiece:
     """Degree-g part of the n-th Koszul term tensored with the module."""
 
-    index: int
-    degree: Degree
     basis: tuple[tuple[Wedge, BasisLabel], ...]
 
     @property
@@ -96,7 +94,7 @@ def _koszul_piece(
         w = Wedge(combo)
         inner = graded_piece(module, ring, g - w.degree(ring))
         basis.extend((w, label) for label in inner.basis)
-    return KoszulPiece(n, g, tuple(basis))
+    return KoszulPiece(tuple(basis))
 
 
 def koszul_piece(
@@ -144,13 +142,24 @@ def koszul_differential(
         element = (label.path, label.monomial.exps)
         for slot, pos in enumerate(positions):
             if (element, pos) not in images:
-                product = module.multiply_label(ring, label, pos)
+                product = module.multiply_label(label, pos)
                 images[element, pos] = None if product is None else (product.path, product.monomial.exps)
             image = images[element, pos]
             if image is not None:
                 row = index[(positions[:slot] + positions[slot + 1 :],) + image]
                 matrix[row][col] += -1 if slot & 1 else 1
     return matrix
+
+
+def var_action(module: ModuleExpr, ring: RingSpec, variable: int | str, g: Degree) -> IntMatrix:
+    """Matrix of multiplication by a variable, piece at g -> piece at g + deg.
+
+    This is the length-1 Koszul differential on that variable.  Rows index
+    the target basis, columns the source basis; entries are 0 or 1 since a
+    monomial maps to a monomial or dies in a quotient.
+    """
+    pos = ring.position(variable) if isinstance(variable, str) else variable
+    return koszul_differential(module, ring, (pos,), 1, g + ring.degree_of(pos))
 
 
 def koszul_index_bound(

@@ -281,7 +281,7 @@ class ModuleExpr:
     def lower_bounds(self, ring: RingSpec) -> SupportDescriptor:
         raise NotImplementedError
 
-    def multiply_label(self, ring: RingSpec, label: BasisLabel, pos: int) -> BasisLabel | None:
+    def multiply_label(self, label: BasisLabel, pos: int) -> BasisLabel | None:
         raise NotImplementedError
 
     def describe(self, ring: RingSpec) -> str:
@@ -309,7 +309,7 @@ class FreeModule(ModuleExpr):
     def lower_bounds(self, ring):
         return SupportDescriptor.of(self.shifts)
 
-    def multiply_label(self, ring, label, pos):
+    def multiply_label(self, label, pos):
         return BasisLabel(label.path, label.monomial.times(pos))
 
     def describe(self, ring):
@@ -341,8 +341,8 @@ class ShiftedModule(ModuleExpr):
     def lower_bounds(self, ring):
         return self.inner.lower_bounds(ring).translate(self.by)
 
-    def multiply_label(self, ring, label, pos):
-        return self.inner.multiply_label(ring, label, pos)
+    def multiply_label(self, label, pos):
+        return self.inner.multiply_label(label, pos)
 
     def describe(self, ring):
         return f"shift({self.inner.describe(ring)}, {self.by})"
@@ -370,11 +370,9 @@ class DirectSum(ModuleExpr):
             result = result.union(part.lower_bounds(ring))
         return result
 
-    def multiply_label(self, ring, label, pos):
+    def multiply_label(self, label, pos):
         idx = label.path[0]
-        inner = self.parts[idx].multiply_label(
-            ring, BasisLabel(label.path[1:], label.monomial), pos
-        )
+        inner = self.parts[idx].multiply_label(BasisLabel(label.path[1:], label.monomial), pos)
         if inner is None:
             return None
         return BasisLabel((idx,) + inner.path, inner.monomial)
@@ -421,7 +419,7 @@ class MonomialIdeal(ModuleExpr):
     def lower_bounds(self, ring):
         return SupportDescriptor.of(gen.degree(ring) for gen in self.gens)
 
-    def multiply_label(self, ring, label, pos):
+    def multiply_label(self, label, pos):
         return BasisLabel((), label.monomial.times(pos))
 
     def describe(self, ring):
@@ -451,7 +449,7 @@ class MonomialQuotient(ModuleExpr):
     def lower_bounds(self, ring):
         return FULL_Q
 
-    def multiply_label(self, ring, label, pos):
+    def multiply_label(self, label, pos):
         """x_pos times a basis label, or None when the product lies in the ideal.
 
         The label must be a basis element, so no generator divides its
@@ -501,26 +499,6 @@ def _graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
 def graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
     """The (finite) monomial basis of the module's piece in degree g."""
     return _graded_piece(module, ring, g)
-
-
-def var_action(
-    module: ModuleExpr, ring: RingSpec, variable: int | str, g: Degree
-) -> list[list[int]]:
-    """Matrix of multiplication by a variable, piece at g -> piece at g + deg.
-
-    Rows index the target basis, columns the source basis; entries are 0
-    or 1 since a monomial maps to a monomial or dies in a quotient.
-    """
-    pos = ring.position(variable) if isinstance(variable, str) else variable
-    source = graded_piece(module, ring, g)
-    target = graded_piece(module, ring, g + ring.degree_of(pos))
-    index = {label: row for row, label in enumerate(target.basis)}
-    matrix = [[0] * source.dimension for _ in range(target.dimension)]
-    for col, label in enumerate(source.basis):
-        image = module.multiply_label(ring, label, pos)
-        if image is not None:
-            matrix[index[image]][col] = 1
-    return matrix
 
 
 def hilbert(module: ModuleExpr, ring: RingSpec, window: Window) -> LaurentSeries:

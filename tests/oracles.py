@@ -92,7 +92,7 @@ def koszul_differential_by_labels(module, ring, seq, n: int, g: Degree):
     matrix = [[0] * source.dimension for _ in range(target.dimension)]
     for col, (w, label) in enumerate(source.basis):
         for slot, pos in enumerate(w.positions):
-            image = module.multiply_label(ring, label, pos)
+            image = module.multiply_label(label, pos)
             if image is not None:
                 dropped = Wedge(w.positions[:slot] + w.positions[slot + 1 :])
                 matrix[index[(dropped, image)]][col] += (-1) ** slot

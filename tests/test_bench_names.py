@@ -75,6 +75,27 @@ def test_series_layer_is_traced(monkeypatch):
     assert tracer.counts["series.qseries.coeff_calls"] > 0
 
 
+def test_free_serre_factor_reaches_the_homology_engine(monkeypatch):
+    """A free left factor goes through the Koszul homology engine too.
+
+    Every serre job then counts its degrees in ``homology.degrees_visited``.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    ring = RingSpec.standard(2)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(counting=True)
+        left = FreeModule.of([ZERO, degree(1)])
+        right = MonomialQuotient.of([Monomial(((1, 1), (2, 1)))])
+        grothendieck.serre_product(left, right, ring, Window.of([degree(2, 2)]))
+    finally:
+        tracer.restore()
+    assert {"grothendieck.serre_product", "homology.complex_snapshot"} <= set(tracer.by_name())
+    assert tracer.counts["homology.degrees_visited"] > 0
+
+
 def test_rank_spans_count_differentials_not_blocks(monkeypatch):
     """``linalg.rank_p`` sees one call per differential, however many blocks it splits into.
 

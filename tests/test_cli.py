@@ -158,6 +158,17 @@ class TestCommands:
         assert plain.returncode == mod2.returncode == 0
         assert plain.stdout == mod2.stdout  # this table is characteristic-free
 
+    def test_serre_accepts_a_shifted_left_factor(self, tmp_path):
+        quotient = {"node": "quotient", "gens": [[[1, 1]]]}
+        spec = dict(
+            MINIMAL,
+            module={"node": "shift", "module": quotient, "by": [[2, 1]]},
+            module2=MINIMAL["module"],
+        )
+        result = run_cli("--command", "serre", spec=spec, tmp_path=tmp_path)
+        assert result.returncode == EXIT_OK
+        assert '"matches_tensor_product":true' in result.stdout
+
     def test_composite_characteristic_rejected(self, tmp_path):
         result = run_cli("--command", "betti", "--char", "6", spec=MINIMAL, tmp_path=tmp_path)
         assert result.returncode == EXIT_VALIDATION

@@ -153,6 +153,34 @@ class TestSerreProduct:
                         expected.terms,
                     ), (left, right, characteristic)
 
+    def test_shifted_and_summed_quotients_match_the_ring_product(self):
+        ring = RingSpec.standard(3)
+        window = Window.of([degree(3, 3, 3)])
+        rx1, r = variable_quotient(ring, (1,)), RING_MODULE
+        lefts = [
+            ShiftedModule(rx1, unit(2)),
+            DirectSum.of([rx1, r]),
+            DirectSum.of(
+                [
+                    variable_quotient(ring, (1, 2)),
+                    ShiftedModule(variable_quotient(ring, (3,)), degree(1, 0, 1)),
+                    FreeModule.of([unit(2)]),
+                ]
+            ),
+        ]
+        rights = [
+            MonomialQuotient.of([Monomial(((1, 1), (2, 1))), Monomial(((2, 2), (3, 1)))]),
+            MonomialIdeal.of([Monomial(((1, 2),)), Monomial(((2, 1), (3, 1)))]),
+            FreeModule.of([degree(-1, 0, 0), unit(3)]),
+            DirectSum.of([variable_quotient(ring, (2,)), ShiftedModule(rx1, unit(3))]),
+        ]
+        for left in lefts:
+            for right in rights:
+                expected = product(class_of(left, ring, window), class_of(right, ring, window))
+                for characteristic in (0, 2):
+                    result = serre_product(left, right, ring, window, characteristic)
+                    assert result == expected, (left, right, characteristic)
+
     def test_unsupported_left_factor(self):
         with pytest.raises(UnsupportedResolutionError):
             serre_product(XY, RING_MODULE, KXY, W33)

@@ -476,10 +476,10 @@ class _NoncommutingQuotient(MonomialQuotient):
     Koszul differentials over it do not compose to zero in degree (1,1).
     """
 
-    def multiply_label(self, ring, label, pos):
+    def multiply_label(self, label, pos):
         if pos == 2 and label.monomial.exponent(1):
             return None
-        return super().multiply_label(ring, label, pos)
+        return super().multiply_label(label, pos)
 
 
 class TestChainLawEverywhere:

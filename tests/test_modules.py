@@ -224,7 +224,7 @@ class TestMonomialProducts:
                         product = Monomial.of(label.monomial.exps + ((pos, 1),))
                         dies = any(product.divisible_by(gen) for gen in quotient.gens)
                         expected = None if dies else BasisLabel((), product)
-                        assert quotient.multiply_label(ring, label, pos) == expected
+                        assert quotient.multiply_label(label, pos) == expected
 
 
 class TestVarAction:
