@@ -247,6 +247,62 @@ class TestErrorKinds:
         assert exc.__name__ in error["message"]
 
 
+# A degree or generator the parser rejects, and a word of the rule it breaks.
+BAD_DEGREES = [
+    ({"1": 1}, "list"),
+    ([[1, 1, 1]], "pair"),
+    ([[1, True]], "integers"),
+    ([[0, 1]], "strictly increasing"),
+    ([[2, 1], [1, 1]], "strictly increasing"),
+    ([[1, 0]], "zero coefficient"),
+]
+BAD_GENERATORS = [
+    ({"1": 1}, "list"),
+    ([[1]], "pair"),
+    ([[True, 1]], "integers"),
+    ([[0, 1]], "strictly increasing"),
+    ([[2, 1], [2, 1]], "strictly increasing"),
+    ([[1, 0]], "positive"),
+    ([[1, -2]], "positive"),
+    ([[3, 1]], "exceeds"),
+]
+# each field path, and a job that is valid except for that field
+DEGREE_FIELDS = {
+    "window[0]": lambda bad: dict(MINIMAL, window=[bad]),
+    "ring.variables[0].degree": lambda bad: dict(
+        MINIMAL, ring={"variables": [{"id": "x", "degree": bad}, {"id": "y", "degree": [[2, 1]]}]}
+    ),
+    "series[0].degree": lambda bad: dict(MINIMAL, series=[[bad, 1]]),
+}
+REJECTED_PAIRS = [
+    pytest.param(field, build(bad), rule, id=f"{field}-{cli._compact(bad)}")
+    for field, build in DEGREE_FIELDS.items()
+    for bad, rule in BAD_DEGREES
+] + [
+    pytest.param(
+        "module.gens[0]",
+        dict(MINIMAL, module={"node": "quotient", "gens": [bad]}),
+        rule,
+        id=f"module.gens[0]-{cli._compact(bad)}",
+    )
+    for bad, rule in BAD_GENERATORS
+]
+
+
+class TestRejectedPairs:
+    """Every malformed degree or generator is a positioned parse error naming its rule."""
+
+    @pytest.mark.parametrize("field, spec, rule", REJECTED_PAIRS)
+    def test_positioned_parse_error(self, field, spec, rule, capsys, tmp_path):
+        with pytest.raises(SpecError) as info:
+            parse_spec(json.dumps(spec), command="kseries")
+        found = [message for where, message in info.value.errors if where.startswith(field)]
+        assert len(found) == 1 and rule in found[0], info.value.errors
+        code, error = run_main(capsys, tmp_path, spec, "--command", "kseries")
+        assert (code, error["kind"]) == (EXIT_PARSE, "parse")
+        assert any(detail["where"].startswith(field) for detail in error["details"])
+
+
 class TestGolden:
     cases = [
         ("betti_xy.json", "kseries", "json", "kseries_xy.json.golden"),

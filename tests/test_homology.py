@@ -28,6 +28,7 @@ from bdfkalc import (
     eq_on_window,
     euler_check,
     euler_profile,
+    graded_piece,
     homology_profile,
     kseries,
     koszul_differential,
@@ -518,6 +519,19 @@ class TestEuler:
         profile = homology_profile(complex_, Window.of([degree(1, 1, 1)]))
         assert all(all(h == 0 for h in dims) for _, dims in profile)
         assert euler_check(complex_, Window.of([degree(1, 1, 1)]))
+
+    def test_augmentation_is_the_residue_field_in_degree_zero(self):
+        cases = [
+            (RingSpec.standard(3), Window.of([degree(2, 2, 2)])),
+            (RingSpec.matrix_ring([2, 2]), Window.of([degree(2, 2)])),
+        ]
+        for ring, window in cases:
+            complex_ = AugmentedKoszulComplex(ring)
+            field = residue_field(ring)
+            for g in candidate_degrees(complex_.support, window):
+                assert complex_.piece_dim(0, g) == graded_piece(field, ring, g).dimension, g
+                assert complex_.differential(1, g) == ([[1]] if g == ZERO else []), g
+            assert complex_.differential(1, ZERO) == [[1]]
 
     def test_non_chain_map_input_is_rejected(self):
         with pytest.raises(ChainComplexError):
