@@ -36,7 +36,6 @@ from .homology import (
     ChainComplexError,
     KoszulPiece,
     KoszulTensorComplex,
-    Wedge,
     ZeroDifferentialComplex,
     all_variables,
     betti_table,

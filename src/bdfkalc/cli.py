@@ -92,61 +92,37 @@ class JobSpec:
     characteristic: int = 0
 
 
-def _parse_degree(data, where: str, errors: list) -> Degree | None:
+def _parse_pairs(build, data, what: str, fields: str, where: str, errors: list):
+    """``build`` applied to a list of [int, int] pairs, or None with a positioned error.
+
+    Only the shape is checked here; the pairs' own rules (index order, sign)
+    are checked by ``build``, whose ValueError is reported at ``where``.
+    """
     if not isinstance(data, list):
-        errors.append((where, "degree must be a list of [index, coefficient] pairs"))
+        errors.append((where, f"{what} must be a list of [{fields}] pairs"))
         return None
-    entries = []
-    last = 0
     for k, pair in enumerate(data):
-        spot = f"{where}[{k}]"
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in pair)
-        ):
-            errors.append((spot, "expected an [index, coefficient] pair of integers"))
+        if not isinstance(pair, list) or len(pair) != 2 or any(type(x) is not int for x in pair):
+            errors.append((f"{where}[{k}]", f"expected a [{fields}] pair of integers"))
             return None
-        index, coeff = pair
-        if index <= last:
-            errors.append((spot, "indices must be >= 1 and strictly increasing"))
-            return None
-        if coeff == 0:
-            errors.append((spot, "zero coefficient violates canonical form"))
-            return None
-        entries.append((index, coeff))
-        last = index
-    return Degree(tuple(entries))
+    try:
+        return build(tuple(map(tuple, data)))
+    except ValueError as exc:
+        errors.append((where, str(exc)))
+        return None
+
+
+def _parse_degree(data, where: str, errors: list) -> Degree | None:
+    return _parse_pairs(Degree, data, "degree", "index, coefficient", where, errors)
 
 
 def _parse_exponents(data, num_vars: int, where: str, errors: list) -> Monomial | None:
-    if not isinstance(data, list):
-        errors.append((where, "generator must be a list of [position, exponent] pairs"))
+    gen = _parse_pairs(Monomial, data, "generator", "position, exponent", where, errors)
+    top = gen.exps[-1][0] if gen is not None and gen.exps else 0
+    if top > num_vars:
+        errors.append((where, f"position {top} exceeds the {num_vars} ring variables"))
         return None
-    exps = []
-    last = 0
-    for k, pair in enumerate(data):
-        spot = f"{where}[{k}]"
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in pair)
-        ):
-            errors.append((spot, "expected a [position, exponent] pair of integers"))
-            return None
-        pos, exp = pair
-        if pos <= last:
-            errors.append((spot, "positions must be >= 1 and strictly increasing"))
-            return None
-        if pos > num_vars:
-            errors.append((spot, f"position {pos} exceeds the {num_vars} ring variables"))
-            return None
-        if exp <= 0:
-            errors.append((spot, "exponents must be positive"))
-            return None
-        exps.append((pos, exp))
-        last = pos
-    return Monomial(tuple(exps))
+    return gen
 
 
 def _parse_ring(data, window: Window | None, where: str, errors: list) -> RingSpec | None:

@@ -39,7 +39,9 @@ class Degree:
         previous = 0
         for index, coeff in self.entries:
             if index <= previous:
-                raise ValueError(f"indices must be >= 1 and strictly increasing: {self.entries}")
+                raise ValueError(
+                    f"indices must be >= 1 and strictly increasing: index {index} in {self.entries}"
+                )
             if coeff == 0:
                 raise ValueError(f"zero coefficient stored at index {index}")
             previous = index

@@ -39,7 +39,6 @@ from .modules import (
     ModuleExpr,
     RingSpec,
     graded_piece,
-    residue_field,
 )
 
 logger = logging.getLogger("bdfkalc")
@@ -58,27 +57,17 @@ def _canonical_sequence(seq: Iterable[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Wedge:
-    """Strictly increasing tuple of ring variable positions."""
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.positions, self.positions[1:])):
-            raise ValueError(f"wedge positions must strictly increase: {self.positions}")
-
-    def degree(self, ring: RingSpec) -> Degree:
-        result = ZERO
-        for pos in self.positions:
-            result = result + ring.degree_of(pos)
-        return result
-
-
-@dataclass(frozen=True)
 class KoszulPiece:
-    """Degree-g part of the n-th Koszul term tensored with the module."""
+    """Degree-g part of the n-th Koszul term tensored with the module.
 
-    basis: tuple[tuple[Wedge, BasisLabel], ...]
+    Each basis element is a pair (positions, label): the wedge's variable
+    positions, a strictly increasing tuple as ``combinations`` yields it
+    from the canonical sequence, and a module basis label in degree g minus
+    the wedge's degree.  Wedges come in ``combinations`` order, and each
+    wedge's labels in graded-piece order.
+    """
+
+    basis: tuple[tuple[tuple[int, ...], BasisLabel], ...]
 
     @property
     def dimension(self) -> int:
@@ -89,11 +78,10 @@ class KoszulPiece:
 def _koszul_piece(
     module: ModuleExpr, ring: RingSpec, seq: tuple[int, ...], n: int, g: Degree
 ) -> KoszulPiece:
-    basis: list[tuple[Wedge, BasisLabel]] = []
-    for combo in combinations(seq, n):
-        w = Wedge(combo)
-        inner = graded_piece(module, ring, g - w.degree(ring))
-        basis.extend((w, label) for label in inner.basis)
+    basis: list[tuple[tuple[int, ...], BasisLabel]] = []
+    for positions in combinations(seq, n):
+        inner = graded_piece(module, ring, g - sum(map(ring.degree_of, positions), ZERO))
+        basis.extend((positions, label) for label in inner.basis)
     return KoszulPiece(tuple(basis))
 
 
@@ -132,13 +120,12 @@ def koszul_differential(
     source = koszul_piece(module, ring, sequence, n, g)
     target = koszul_piece(module, ring, sequence, n - 1, g)
     index = {
-        (w.positions, label.path, label.monomial.exps): row
-        for row, (w, label) in enumerate(target.basis)
+        (positions, label.path, label.monomial.exps): row
+        for row, (positions, label) in enumerate(target.basis)
     }
     images: dict[tuple, tuple | None] = {}
     matrix = zero_matrix(target.dimension, source.dimension)
-    for col, (w, label) in enumerate(source.basis):
-        positions = w.positions
+    for col, (positions, label) in enumerate(source.basis):
         element = (label.path, label.monomial.exps)
         for slot, pos in enumerate(positions):
             if (element, pos) not in images:
@@ -375,7 +362,8 @@ class AugmentedKoszulComplex:
 
     The term at index 0 is the quotient by all variables, index n >= 1
     holds the (n-1)-st Koszul term; the whole complex is exact, so every
-    homology dimension vanishes.
+    homology dimension vanishes.  The residue field lives in degree 0
+    alone, so the augmentation is the map 1 -> 1 there and empty elsewhere.
     """
 
     ring: RingSpec
@@ -389,21 +377,12 @@ class AugmentedKoszulComplex:
 
     def piece_dim(self, n: int, g: Degree) -> int:
         if n == 0:
-            return graded_piece(residue_field(self.ring), self.ring, g).dimension
+            return 1 if g == ZERO else 0
         return koszul_piece(RING_MODULE, self.ring, all_variables(self.ring), n - 1, g).dimension
 
     def differential(self, n: int, g: Degree) -> IntMatrix:
         if n == 1:
-            field = residue_field(self.ring)
-            source = graded_piece(RING_MODULE, self.ring, g)
-            target = graded_piece(field, self.ring, g)
-            index = {label.monomial: row for row, label in enumerate(target.basis)}
-            matrix = zero_matrix(target.dimension, source.dimension)
-            for col, label in enumerate(source.basis):
-                row = index.get(label.monomial)
-                if row is not None:
-                    matrix[row][col] = 1
-            return matrix
+            return [[1]] if g == ZERO else []
         return koszul_differential(RING_MODULE, self.ring, all_variables(self.ring), n - 1, g)
 
 

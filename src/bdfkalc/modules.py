@@ -134,7 +134,9 @@ class Monomial:
         previous = 0
         for pos, e in self.exps:
             if pos <= previous:
-                raise ValueError(f"positions must be >= 1 and strictly increasing: {self.exps}")
+                raise ValueError(
+                    f"positions must be >= 1 and strictly increasing: position {pos} in {self.exps}"
+                )
             if e <= 0:
                 raise ValueError(f"exponent at position {pos} must be positive")
             previous = pos

@@ -6,7 +6,7 @@ elimination instead of fraction-free elimination, elimination mod p on the
 whole matrix instead of block by block, raw product-and-filter counting
 instead of recursive monomial enumeration, a per-degree product against
 lazy series instead of a convolution over the finite side, Koszul
-differentials built entry by entry from (Wedge, BasisLabel) lookups, and
+differentials built entry by entry from (positions, BasisLabel) lookups, and
 the Serre product of a free left factor read off the right factor's
 graded pieces instead of its Koszul homology.
 """
@@ -82,19 +82,19 @@ def koszul_differential_by_labels(module, ring, seq, n: int, g: Degree):
     """The n-th Koszul differential in degree g, one entry at a time.
 
     Each column multiplies its label by every variable of its wedge afresh,
-    and each image finds its row through a dict keyed by (Wedge, BasisLabel).
+    and each image finds its row through a dict keyed by (positions, BasisLabel).
     """
-    from bdfkalc import Wedge, koszul_piece
+    from bdfkalc import koszul_piece
 
     source = koszul_piece(module, ring, seq, n, g)
     target = koszul_piece(module, ring, seq, n - 1, g)
     index = {element: row for row, element in enumerate(target.basis)}
     matrix = [[0] * source.dimension for _ in range(target.dimension)]
     for col, (w, label) in enumerate(source.basis):
-        for slot, pos in enumerate(w.positions):
+        for slot, pos in enumerate(w):
             image = module.multiply_label(label, pos)
             if image is not None:
-                dropped = Wedge(w.positions[:slot] + w.positions[slot + 1 :])
+                dropped = w[:slot] + w[slot + 1 :]
                 matrix[index[(dropped, image)]][col] += (-1) ** slot
     return matrix
 

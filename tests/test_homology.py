@@ -198,14 +198,14 @@ class TestKoszulPiece:
         piece = koszul_piece(XY, KXY, (1, 2), 0, degree(2, 0))
         assert piece.dimension == 1
         wedge, label = piece.basis[0]
-        assert wedge.positions == ()
+        assert wedge == ()
         assert label.monomial == Monomial(((1, 2),))
 
     def test_top_wedge_on_the_ring(self):
         piece = koszul_piece(RING_MODULE, KXY, (1, 2), 2, degree(1, 1))
         assert piece.dimension == 1
         wedge, label = piece.basis[0]
-        assert wedge.positions == (1, 2)
+        assert wedge == (1, 2)
         assert label.monomial == Monomial()
 
     def test_vanishes_beyond_the_variable_count_bound(self):
@@ -217,6 +217,27 @@ class TestKoszulPiece:
     def test_bound_counts_only_reachable_variables(self):
         assert koszul_index_bound(RING_MODULE, KXY, (1, 2), degree(1, 0)) == 1
 
+    def test_basis_is_combinations_times_the_complementary_piece(self):
+        # each wedge is a plain strictly increasing tuple from the canonical sequence
+        for ring, module, window in TestKoszulDifferentialOracle().cases():
+            full = all_variables(ring)
+            for seq in (full, full[::2], full[::-1] + full[:1]):
+                canonical = tuple(sorted(set(seq)))
+                for g in candidate_degrees(module.lower_bounds(ring), window):
+                    for n in range(koszul_index_bound(module, ring, seq, g) + 2):
+                        basis = koszul_piece(module, ring, seq, n, g).basis
+                        for wedge, _ in basis:
+                            assert type(wedge) is tuple and set(wedge) <= set(canonical)
+                            assert all(a < b for a, b in zip(wedge, wedge[1:])), wedge
+                        expected = [
+                            (wedge, label)
+                            for wedge in itertools.combinations(canonical, n)
+                            for label in graded_piece(
+                                module, ring, g - Monomial(tuple((p, 1) for p in wedge)).degree(ring)
+                            ).basis
+                        ]
+                        assert list(basis) == expected, (module, seq, n, g)
+
 
 class TestKoszulDifferential:
     def test_length_one_is_multiplication(self):
@@ -226,7 +247,7 @@ class TestKoszulDifferential:
         # e_x ^ e_y |-> x * e_y - y * e_x at degree (1,1)
         matrix = koszul_differential(RING_MODULE, KXY, (1, 2), 2, degree(1, 1))
         target = koszul_piece(RING_MODULE, KXY, (1, 2), 1, degree(1, 1))
-        wedges = [wedge.positions for wedge, _ in target.basis]
+        wedges = [wedge for wedge, _ in target.basis]
         column = [matrix[r][0] for r in range(len(wedges))]
         assert sorted(zip(wedges, column)) == [((1,), -1), ((2,), 1)]
 
@@ -250,7 +271,7 @@ class TestKoszulDifferential:
 
 
 class TestKoszulDifferentialOracle:
-    """koszul_differential equals the entry-by-entry (Wedge, BasisLabel) construction."""
+    """koszul_differential equals the entry-by-entry (positions, BasisLabel) construction."""
 
     R3 = RingSpec.standard(3)
     QUOTIENT = MonomialQuotient.of([Monomial(((1, 1), (2, 1))), Monomial(((2, 2), (3, 1)))])
