@@ -12,6 +12,9 @@ takes exact ranks.  Graded Betti numbers, torsion dimension, the shape
 of the minimal free resolution, the Serre product's alternating torsion
 and the Euler-characteristic identity all go through it, so each of them
 rejects a complex whose differentials do not compose to zero.
+The chain law is checked from each differential's nonzero entries, read
+once and kept for the next index; rank still gets the dense matrix.  A
+Koszul piece looks up one module piece per distinct wedge degree.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .degrees import (
@@ -32,7 +34,7 @@ from .degrees import (
     grlex_sorted,
     leq_q,
 )
-from .linalg import IntMatrix, is_zero, matmul, rank, zero_matrix
+from .linalg import IntMatrix, composes_to_zero, rank, sparse_rows, zero_matrix
 from .modules import (
     RING_MODULE,
     BasisLabel,
@@ -78,11 +80,9 @@ class KoszulPiece:
 def _koszul_piece(
     module: ModuleExpr, ring: RingSpec, seq: tuple[int, ...], n: int, g: Degree
 ) -> KoszulPiece:
-    basis: list[tuple[tuple[int, ...], BasisLabel]] = []
-    for positions in combinations(seq, n):
-        inner = graded_piece(module, ring, g - sum(map(ring.degree_of, positions), ZERO))
-        basis.extend((positions, label) for label in inner.basis)
-    return KoszulPiece(tuple(basis))
+    wedges = ring.wedges(seq, n)
+    inner = {d: graded_piece(module, ring, g - d).basis for d in dict.fromkeys(d for _, d in wedges)}
+    return KoszulPiece(tuple((positions, label) for positions, d in wedges for label in inner[d]))
 
 
 def koszul_piece(
@@ -395,18 +395,23 @@ def _complex_snapshot(complex_, g: Degree, characteristic: int) -> tuple[list[in
     bound = complex_.index_bound(g)
     dims = [complex_.piece_dim(n, g) for n in range(bound + 2)]
     ranks = [0] * (bound + 3)
-    # one differential is held at a time, besides the one it is composed with;
-    # a map out of or into a zero piece is empty and is never built
+    # one differential's nonzero entries are held for the next index's chain
+    # check; a map out of or into a zero piece is empty and is never built
     previous = None
     for n in range(1, bound + 2):
-        current = complex_.differential(n, g) if dims[n - 1] and dims[n] else None
-        if previous and current and not is_zero(matmul(previous, current)):
+        if not (dims[n - 1] and dims[n]):
+            previous = None
+            continue
+        current = complex_.differential(n, g)
+        if len(current) != dims[n - 1] or len(current[0]) != dims[n]:
+            raise ValueError(f"differential {n} at {g} is not {dims[n - 1]}x{dims[n]}")
+        entries = sparse_rows(current)
+        if previous and not composes_to_zero(previous, entries):
             raise ChainComplexError(
                 f"differentials {n - 1} and {n} do not compose to zero at {g}"
             )
-        if current:
-            ranks[n] = rank(current, characteristic)
-        previous = current
+        ranks[n] = rank(current, characteristic)
+        previous = entries
     homology = [dims[n] - ranks[n] - ranks[n + 1] for n in range(bound + 1)]
     return dims, homology
 

@@ -8,6 +8,8 @@ and columns by the connected components of the nonzero pattern, and
 plain Gaussian elimination with modular inverses runs on each block.
 A Koszul differential of a monomial module splits this way by the fine
 grading, into blocks far smaller than the whole matrix.
+The same grading leaves almost every entry zero, so ``composes_to_zero``
+tests a.b = 0 from the nonzero entries alone; ``matmul`` is its oracle.
 """
 
 from __future__ import annotations
@@ -31,15 +33,31 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = len(b[0]) if b else 0
     if a and len(a[0]) != inner:
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {inner}x{cols}")
-    # Koszul differentials are sparse: visit only nonzero entries, found by compress
-    sparse_b = [[(j, row[j]) for j in compress(range(cols), row)] for row in b]
+    sparse_b = sparse_rows(b)
     out = zero_matrix(rows, cols)
-    for row, target in zip(a, out):
-        for k in compress(range(inner), row):
-            coeff = row[k]
+    for row, target in zip(sparse_rows(a), out):
+        for k, coeff in row:
             for j, v in sparse_b[k]:
                 target[j] += coeff * v
     return out
+
+
+def sparse_rows(matrix: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Each row's nonzero entries as (column, value) pairs, found by compress."""
+    cols = range(len(matrix[0]) if matrix else 0)
+    return [[(j, row[j]) for j in compress(cols, row)] for row in matrix]
+
+
+def composes_to_zero(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]]) -> bool:
+    """Whether a.b = 0, given both as ``sparse_rows``: each product row is summed in a dict."""
+    for row in a:
+        composite: dict[int, int] = {}
+        for k, coeff in row:
+            for j, v in b[k]:
+                composite[j] = composite.get(j, 0) + coeff * v
+        if any(composite.values()):
+            return False
+    return True
 
 
 def blocks(matrix: IntMatrix) -> list[IntMatrix]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .degrees import (
@@ -71,6 +72,16 @@ class RingSpec:
 
     def degree_of(self, pos: int) -> Degree:
         return self.variables[pos - 1].degree
+
+    def wedges(self, seq: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], Degree], ...]:
+        """The n-subsets of the increasing seq with their degrees, in ``combinations`` order."""
+        if (seq, n) not in self._wedges:
+            self._wedges[seq, n] = tuple((w, sum(map(self.degree_of, w), ZERO)) for w in combinations(seq, n))
+        return self._wedges[seq, n]
+
+    @cached_property
+    def _wedges(self) -> dict[tuple[tuple[int, ...], int], tuple]:
+        return {}
 
     def truncated(self, window: Window) -> "RingSpec":
         """Drop variables whose degree exceeds the window ceiling.
@@ -457,12 +468,18 @@ class MonomialQuotient(ModuleExpr):
         The label must be a basis element, so no generator divides its
         monomial.  A generator that does not involve x_pos then cannot
         divide the product either, so only the generators involving x_pos
-        are tested.
+        are tested.  Each product is computed once per instance.
         """
-        product = label.monomial.times(pos)
-        if any(product.divisible_by(gen) for gen in self._gens_by_variable.get(pos, ())):
-            return None
-        return BasisLabel((), product)
+        key = (label.monomial.exps, pos)
+        if key not in self._products:
+            product = label.monomial.times(pos)
+            killed = any(product.divisible_by(gen) for gen in self._gens_by_variable.get(pos, ()))
+            self._products[key] = None if killed else BasisLabel((), product)
+        return self._products[key]
+
+    @cached_property
+    def _products(self) -> dict[tuple, BasisLabel | None]:
+        return {}  # keyed by (label exponents, variable position)
 
     @cached_property
     def _gens_by_variable(self) -> dict[int, tuple[Monomial, ...]]:

@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,15 +47,18 @@ from bdfkalc import (
     var_action,
     variable_quotient,
 )
+from bdfkalc import cli, homology, modules
 from bdfkalc.linalg import (
     CharacteristicError,
     blocks,
     check_characteristic,
+    composes_to_zero,
     is_prime,
     is_zero,
     matmul,
     rank_fraction_free,
     rank_mod_p,
+    sparse_rows,
 )
 from oracles import dense_rank_mod_p, fraction_rank, koszul_differential_by_labels
 
@@ -84,6 +90,30 @@ def shuffled_block_matrices(draw):
     return [[matrix[i][j] for j in col_order] for i in row_order]
 
 
+@st.composite
+def composable_pairs(draw):
+    """Integer matrices a (m x k) and b (k x n), often with a zero or one-entry product.
+
+    Entries are zero half the time, so zero rows and columns are common.
+    The pair [A | A], [B ; -B] composes to zero only by cancellation;
+    appending the column e_i to it and the row e_j then leaves the product
+    nonzero at (i, j) alone.
+    """
+    m, k, n = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    a = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    b = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    shape = draw(st.sampled_from(["plain", "cancelling", "one entry"]))
+    if shape != "plain":
+        a = [row + row for row in a]
+        b = b + [[-v for v in row] for row in b]
+    if shape == "one entry" and m and n:
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        a = [row + [int(r == i)] for r, row in enumerate(a)]
+        b = b + [[int(c == j) for c in range(n)]]
+    return a, b
+
+
 class TestLinalg:
     def test_bareiss_matches_fraction_elimination(self):
         rng = random.Random(29)
@@ -105,6 +135,18 @@ class TestLinalg:
                 for i in range(rows)
             ]
             assert matmul(a, b) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(composable_pairs())
+    @example(([], [[1, 2]]))  # 0 x n times n x m
+    @example(([[], []], []))  # n x 0 times 0 x 0
+    @example(([[1], [0]], [[]]))  # n x 1 times 1 x 0
+    @example(([[0, 0], [3, 0]], [[0, 5], [0, 0]]))  # zero rows and columns, zero product
+    @example(([[1, 1]], [[2], [-2]]))  # zero only by cancellation
+    @example(([[0, 1], [0, 0]], [[0, 0], [0, -1]]))  # nonzero in exactly one entry
+    def test_sparse_chain_check_matches_the_dense_product(self, pair):
+        a, b = pair
+        assert composes_to_zero(sparse_rows(a), sparse_rows(b)) == is_zero(matmul(a, b))
 
     @settings(max_examples=200, deadline=None)
     @given(shuffled_block_matrices())
@@ -237,6 +279,23 @@ class TestKoszulPiece:
                             ).basis
                         ]
                         assert list(basis) == expected, (module, seq, n, g)
+
+    def test_graded_piece_once_per_wedge_degree(self, monkeypatch):
+        # the 15 two-wedges of matrix_ring([3, 3]) have the 3 degrees 2e1, e1 + e2 and 2e2
+        ring = RingSpec.matrix_ring([3, 3])
+        wedges = ring.wedges(all_variables(ring), 2)
+        assert len(wedges) == 15
+        assert {d for _, d in wedges} == {degree(2), degree(1, 1), degree(0, 2)}
+        assert ring.wedges(all_variables(ring), 2) is wedges
+        looked_up = []
+        real = homology.graded_piece
+        monkeypatch.setattr(homology, "graded_piece", lambda *args: looked_up.append(args) or real(*args))
+        homology._koszul_piece.cache_clear()
+        piece = koszul_piece(RING_MODULE, ring, all_variables(ring), 2, degree(3, 3))
+        assert len(looked_up) == 3
+        # wedges times the ring monomials of the rest: (1, 3) and (3, 1) have
+        # 3 * 10 of them, (2, 2) has 6 * 6
+        assert piece.dimension == 3 * 30 + 9 * 36 + 3 * 30
 
 
 class TestKoszulDifferential:
@@ -524,6 +583,33 @@ class TestChainLawEverywhere:
         assert tor_k(self.BROKEN, KXY, 1, degree(1, 0)) == 0
 
 
+class TestChainCheckOnEveryComplex:
+    """The sparse chain check runs on each composable pair of every complex class."""
+
+    CASES = [
+        (KoszulTensorComplex.of(RING_MODULE, KXY), W33),
+        (AugmentedKoszulComplex(RingSpec.standard(3)), Window.of([degree(1, 1, 1)])),
+        (ZeroDifferentialComplex((RING_MODULE, XY, RING_MODULE), KXY), W33),
+    ]
+
+    @pytest.mark.parametrize("complex_, window", CASES, ids=lambda c: type(c).__name__)
+    def test_each_composable_pair_is_checked(self, complex_, window, monkeypatch):
+        answers = []
+        real = homology.composes_to_zero
+        monkeypatch.setattr(homology, "composes_to_zero", lambda a, b: answers.append(real(a, b)) or answers[-1])
+        homology_profile(complex_, window, 32003)
+        pairs = 0
+        for g in candidate_degrees(complex_.support, window):
+            bound = complex_.index_bound(g)
+            dims = [complex_.piece_dim(n, g) for n in range(bound + 2)]
+            for n in range(2, bound + 2):
+                if dims[n - 2] and dims[n - 1] and dims[n]:
+                    pairs += 1
+                    assert is_zero(matmul(complex_.differential(n - 1, g), complex_.differential(n, g)))
+        assert pairs > 0
+        assert answers == [True] * pairs
+
+
 class TestEuler:
     def test_koszul_complex_on_the_ring(self):
         assert euler_check(KoszulTensorComplex.of(RING_MODULE, KXY), W33)
@@ -557,3 +643,30 @@ class TestEuler:
     def test_non_chain_map_input_is_rejected(self):
         with pytest.raises(ChainComplexError):
             euler_check(_BrokenComplex(), W33)
+
+
+class TestBettiBudget:
+    def test_matrix_ring_quotient_mod_p_on_window_44(self):
+        # a generous regression guard: this takes about 0.1 s in process.  The
+        # betti-p job: R/(x[1,1]x[1,2], x[2,1]x[2,2], x[3,1]^2) on matrix_ring([3, 3])
+        spec = {
+            "ring": {"columns": [3, 3]},
+            "module": {"node": "quotient", "gens": [[[1, 1], [4, 1]], [[2, 1], [5, 1]], [[3, 2]]]},
+            "window": [[[1, 4], [2, 4]]],
+        }
+        caches = (
+            modules.monomials_of_degree,
+            modules._graded_piece,
+            modules.ring_hilbert,
+            modules.ring_hilbert_inverse,
+            homology._koszul_piece,
+        )
+        for cached in caches:
+            cached.cache_clear()
+        started = time.perf_counter()
+        job = cli.parse_spec(json.dumps(spec), command="betti", characteristic=32003)
+        output = cli.run_job(job)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 2.0, f"betti took {elapsed:.2f}s (budget 2s)"
+        pins = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+        assert output == json.loads(pins.read_text(encoding="utf-8"))["betti-p"]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -40,7 +41,7 @@ from bdfkalc import (
     var_action,
 )
 from oracles import count_monomials, exponent_vectors
-from bdfkalc import modules
+from bdfkalc import cli, homology, modules
 from bdfkalc.degrees import FULL_Q
 from bdfkalc.linalg import matmul
 
@@ -225,6 +226,33 @@ class TestMonomialProducts:
                         dies = any(product.divisible_by(gen) for gen in quotient.gens)
                         expected = None if dies else BasisLabel((), product)
                         assert quotient.multiply_label(label, pos) == expected
+
+    def test_each_quotient_keeps_its_own_products(self):
+        # R/(x1^2) and R/(x1x2) on k[x1,x2] share the label x1 but not its products
+        square = MonomialQuotient.of([Monomial(((1, 2),))])
+        mixed = MonomialQuotient.of([Monomial(((1, 1), (2, 1)))])
+        x1 = BasisLabel((), Monomial(((1, 1),)))
+        for _ in range(2):  # the second round is answered from each memo
+            assert square.multiply_label(x1, 1) is None
+            assert square.multiply_label(x1, 2) == BasisLabel((), Monomial(((1, 1), (2, 1))))
+            assert mixed.multiply_label(x1, 1) == BasisLabel((), Monomial(((1, 2),)))
+            assert mixed.multiply_label(x1, 2) is None
+
+    def test_a_second_parse_starts_with_empty_memos(self):
+        text = json.dumps(
+            {
+                "ring": {"variables": [{"id": "x1", "degree": [[1, 1]]}, {"id": "x2", "degree": [[2, 1]]}]},
+                "module": {"node": "quotient", "gens": [[[1, 2]]]},
+                "window": [[[1, 2], [2, 2]]],
+            }
+        )
+        homology._koszul_piece.cache_clear()
+        first = cli.parse_spec(text, command="betti")
+        cli.run_job(first)
+        assert first.module._products and first.ring._wedges
+        second = cli.parse_spec(text, command="betti")
+        assert (second.module, second.ring) == (first.module, first.ring)
+        assert not second.module._products and not second.ring._wedges
 
 
 class TestVarAction:
