@@ -13,8 +13,6 @@ import argparse
 import csv
 import io
 import json
-import logging
-import os
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +26,6 @@ from .grothendieck import (
 from .homology import (
     ChainComplexError,
     KoszulTensorComplex,
-    all_variables,
     betti_table,
     euler_profile,
     homology_profile,
@@ -50,7 +47,7 @@ from .modules import (
     kseries,
     require_valid,
 )
-from .series import NotInvertibleError, QSeries, eq_on_window, invert, truncate
+from .series import NotInvertibleError, QSeries, invert, truncate
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -125,7 +122,7 @@ def _parse_exponents(data, num_vars: int, where: str, errors: list) -> Monomial 
     return gen
 
 
-def _parse_ring(data, window: Window | None, where: str, errors: list) -> RingSpec | None:
+def _parse_ring(data, where: str, errors: list) -> RingSpec | None:
     if not isinstance(data, dict):
         errors.append((where, "ring must be an object"))
         return None
@@ -139,9 +136,7 @@ def _parse_ring(data, window: Window | None, where: str, errors: list) -> RingSp
         ):
             errors.append((f"{where}.columns", "column sizes must be nonnegative integers"))
             return None
-        ring = RingSpec.matrix_ring(columns)
-        # columns above the window ceiling cannot touch any in-window piece
-        return ring.truncated(window) if window is not None else ring
+        return RingSpec.matrix_ring(columns)
     variables = data["variables"]
     if not isinstance(variables, list):
         errors.append((f"{where}.variables", "must be a list"))
@@ -259,7 +254,7 @@ def parse_spec(
     if "ring" not in data:
         errors.append(("ring", "a ring is required"))
     else:
-        ring = _parse_ring(data["ring"], window, "ring", errors)
+        ring = _parse_ring(data["ring"], "ring", errors)
 
     module = module2 = None
     if ring is not None and "module" in data:
@@ -297,9 +292,13 @@ def parse_spec(
     sequence = None
     if "sequence" in data:
         raw = data["sequence"]
-        num_vars = len(ring.variables) if ring is not None else 0
+        # a ring that failed to parse has its own error, so it bounds no position
         if not isinstance(raw, list) or any(
-            isinstance(x, bool) or not isinstance(x, int) or x < 1 or x > num_vars for x in raw
+            isinstance(x, bool)
+            or not isinstance(x, int)
+            or x < 1
+            or (ring is not None and x > len(ring.variables))
+            for x in raw
         ):
             errors.append(("sequence", "sequence must list valid 1-based variable positions"))
         else:
@@ -309,17 +308,14 @@ def parse_spec(
     if "degree" in data:
         target_degree = _parse_degree(data["degree"], "degree", errors)
 
-    # command-specific arity, checked before any computation
-    if chosen in ("hilbert", "kseries", "betti", "euler-check") and module is None:
+    # command-specific arity: a field that is present but malformed has its own error
+    if chosen in ("hilbert", "kseries", "betti", "torsion-dim", "euler-check") and "module" not in data:
         errors.append(("module", f"{chosen} requires a module"))
-    if chosen == "torsion-dim":
-        if module is None:
-            errors.append(("module", "torsion-dim requires a module"))
-        if target_degree is None and "degree" not in data:
-            errors.append(("degree", "torsion-dim requires a target degree"))
-    if chosen == "serre" and (module is None or module2 is None):
+    if chosen == "torsion-dim" and "degree" not in data:
+        errors.append(("degree", "torsion-dim requires a target degree"))
+    if chosen == "serre" and not ("module" in data and "module2" in data):
         errors.append(("module", "serre requires both 'module' and 'module2'"))
-    if chosen == "invert" and series_terms is None:
+    if chosen == "invert" and "series" not in data:
         errors.append(("series", "invert requires a series"))
 
     if errors:
@@ -457,7 +453,7 @@ def run_job(job: JobSpec) -> str:
             class_of(job.module, job.ring, job.window),
             class_of(job.module2, job.ring, job.window),
         )
-        matches = eq_on_window(left.series, right.series, right.series.window)
+        matches = left == right
         extra = {"provenance": left.provenance, "matches_tensor_product": matches}
         payload, header, rows, lines = _series_view(left.series, extra)
         return _render(
@@ -465,9 +461,8 @@ def run_job(job: JobSpec) -> str:
         )
 
     if command == "koszul-verify":
-        sequence = job.sequence or all_variables(job.ring)
         module = job.module if job.module is not None else RING_MODULE
-        complex_ = KoszulTensorComplex.of(module, job.ring, sequence)
+        complex_ = KoszulTensorComplex.of(module, job.ring, job.sequence)
         profile = homology_profile(complex_, job.window, job.characteristic)
         exact_positive = all(all(h == 0 for h in dims[1:]) for _, dims in profile)
         return _render(
@@ -484,8 +479,7 @@ def run_job(job: JobSpec) -> str:
         )
 
     if command == "euler-check":
-        sequence = job.sequence or all_variables(job.ring)
-        complex_ = KoszulTensorComplex.of(job.module, job.ring, sequence)
+        complex_ = KoszulTensorComplex.of(job.module, job.ring, job.sequence)
         rows = euler_profile(complex_, job.window, job.characteristic)
         equal = all(terms == homology for _, terms, homology in rows)
         return _render(
@@ -518,12 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("BDFKALC_LOG", "").upper()
-    level = getattr(logging, level_name, None) if level_name else None
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
-
-
 def _emit_error(kind: str, message: str, details=None) -> None:
     record = {"error": {"kind": kind, "message": message}}
     if details:
@@ -532,7 +520,6 @@ def _emit_error(kind: str, message: str, details=None) -> None:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,7 +19,6 @@ Koszul piece looks up one module piece per distinct wedge degree.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -42,8 +41,6 @@ from .modules import (
     RingSpec,
     graded_piece,
 )
-
-logger = logging.getLogger("bdfkalc")
 
 
 class ChainComplexError(ValueError):
@@ -239,11 +236,9 @@ def betti_table(
     the table is total on its domain.
     """
     seq = all_variables(ring)
-    degrees = candidate_degrees(module.lower_bounds(ring), window)
-    logger.debug("betti table over %d degrees", len(degrees))
     entries = [
         (i, g, value)
-        for g in degrees
+        for g in candidate_degrees(module.lower_bounds(ring), window)
         for i, value in enumerate(_homology_dimensions(module, ring, seq, g, characteristic))
         if value
     ]
@@ -268,14 +263,7 @@ def torsion_dimension(
     """
     if not window.contains(g):
         raise WindowError(f"the downset of {g} exceeds the window")
-    seq = all_variables(ring)
-    best = 0
-    for h in candidate_degrees(module.lower_bounds(ring), Window.of([g])):
-        dims = _homology_dimensions(module, ring, seq, h, characteristic)
-        for i, value in enumerate(dims):
-            if value and i > best:
-                best = i
-    return best
+    return betti_table(module, ring, Window.of([g]), characteristic).max_index()
 
 
 def minimal_resolution_shape(

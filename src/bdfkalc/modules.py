@@ -83,14 +83,6 @@ class RingSpec:
     def _wedges(self) -> dict[tuple[tuple[int, ...], int], tuple]:
         return {}
 
-    def truncated(self, window: Window) -> "RingSpec":
-        """Drop variables whose degree exceeds the window ceiling.
-
-        Such variables cannot divide any monomial of in-window degree, so
-        every in-window graded piece is unchanged.
-        """
-        return RingSpec(tuple(v for v in self.variables if window.contains(v.degree)))
-
 
 @dataclass(frozen=True)
 class RingReport:

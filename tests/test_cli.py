@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdfkalc import cli
 from bdfkalc.cli import (
@@ -17,7 +21,12 @@ from bdfkalc.cli import (
     parse_spec,
     serialize_spec,
 )
-from bdfkalc.homology import ChainComplexError
+from bdfkalc.homology import (
+    ChainComplexError,
+    KoszulTensorComplex,
+    euler_profile,
+    homology_profile,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,6 +115,16 @@ class TestExitCodes:
         result = run_cli("--command", "kseries", spec=MINIMAL, tmp_path=tmp_path)
         assert result.returncode == 0
         assert result.stdout.endswith("\n")
+
+    def test_success_leaves_stderr_empty(self):
+        # stderr carries error records only, whatever the environment sets
+        result = subprocess.run(
+            [sys.executable, "-m", "bdfkalc", "--spec", str(GOLDEN / "betti_xy.json"), "--command", "betti"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, BDFKALC_LOG="debug"),
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
 
 
 class TestCommands:
@@ -301,6 +320,116 @@ class TestRejectedPairs:
         code, error = run_main(capsys, tmp_path, spec, "--command", "kseries")
         assert (code, error["kind"]) == (EXIT_PARSE, "parse")
         assert any(detail["where"].startswith(field) for detail in error["details"])
+
+
+class TestOneErrorPerProblem:
+    """A malformed field is reported once, at that field, and nowhere else."""
+
+    @pytest.mark.parametrize(
+        "command, spec, field",
+        [
+            ("euler-check", dict(MINIMAL, module={"node": "mystery"}), "module"),
+            ("euler-check", dict(MINIMAL, ring={"columns": [1, -1]}, sequence=[1]), "ring.columns"),
+            ("serre", dict(MINIMAL, module2={"node": "mystery"}), "module2"),
+            ("invert", dict(MINIMAL, series="1 - t"), "series"),
+        ],
+    )
+    def test_exactly_one_error_at_its_field(self, command, spec, field):
+        with pytest.raises(SpecError) as info:
+            parse_spec(json.dumps(spec), command=command)
+        assert [where for where, _ in info.value.errors] == [field], info.value.errors
+
+
+def stdout_of(spec: dict, command: str) -> str:
+    return cli.run_job(parse_spec(json.dumps(spec), command=command))
+
+
+def written_out(columns: list[int]) -> dict:
+    """The variables ring that the ring {"columns": columns} stands for."""
+    return {
+        "variables": [
+            {"id": f"x[{i},{j}]", "degree": [[j, 1]]}
+            for j, height in enumerate(columns, start=1)
+            for i in range(1, height + 1)
+        ]
+    }
+
+
+def sparse(vector) -> list:
+    """A dense integer vector as [index, value] pairs."""
+    return [[k, v] for k, v in enumerate(vector, start=1) if v]
+
+
+@st.composite
+def column_jobs(draw):
+    """Columns, plus a module and a window whose ceiling may leave whole columns out."""
+    columns = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(any))
+    width, num_vars = len(columns), sum(columns)
+    ceiling = draw(st.lists(st.integers(0, 2), min_size=width, max_size=width))
+    if draw(st.booleans()):
+        shift = st.lists(st.integers(-1, 1), min_size=width, max_size=width)
+        module = {"node": "free", "shifts": [sparse(h) for h in draw(st.lists(shift, min_size=1, max_size=2))]}
+    else:
+        exponent = st.tuples(*[st.integers(0, 2)] * num_vars).filter(any)
+        found = draw(st.lists(exponent, min_size=1, max_size=3, unique=True))
+        # keep the minimal exponents, so the generators divide no one another
+        gens = [e for e in found if not any(o != e and all(map(int.__le__, o, e)) for o in found)]
+        module = {"node": "quotient", "gens": [sparse(e) for e in gens]}
+    return columns, {"module": module, "window": [sparse(ceiling)]}
+
+
+class TestColumnRing:
+    """A column ring is its written-out variables ring, whatever the window."""
+
+    SERIES_COMMANDS = ("hilbert", "kseries", "betti")
+
+    def assert_same_as_written_out(self, columns, job):
+        for command in self.SERIES_COMMANDS:
+            by_columns = stdout_of(dict(job, ring={"columns": columns}), command)
+            assert by_columns == stdout_of(dict(job, ring=written_out(columns)), command), command
+
+    @pytest.mark.parametrize(
+        "columns, job",
+        [
+            # x[1,2] lies outside the window; position 2 is still x[1,2], and 3 is x[1,3]
+            ([1, 1, 1], {"module": {"node": "quotient", "gens": [[[2, 1]]]}, "window": [[[1, 1], [3, 1]]]}),
+            ([1, 1, 1], {"module": {"node": "quotient", "gens": [[[3, 1]]]}, "window": [[[1, 1], [3, 1]]]}),
+            # under a negative shift, x[1,2] reaches back into the window
+            ([1, 1], {"module": {"node": "free", "shifts": [[[2, -1]]]}, "window": [[[1, 1]]]}),
+        ],
+    )
+    def test_column_left_out_of_the_window(self, columns, job):
+        self.assert_same_as_written_out(columns, job)
+
+    @settings(max_examples=100, deadline=None)
+    @given(column_jobs())
+    def test_any_window(self, case):
+        self.assert_same_as_written_out(*case)
+
+
+SEQUENCE_JOB = {
+    "ring": {"columns": [1, 1]},
+    "module": {"node": "quotient", "gens": [[[1, 1]]]},
+    "window": [[[1, 2], [2, 2]]],
+}
+
+
+class TestSequenceField:
+    """``sequence`` is read as the set it names; only its absence means all variables."""
+
+    def test_empty_sequence_is_the_module_alone(self):
+        job = parse_spec(json.dumps(dict(SEQUENCE_JOB, sequence=[])), command="koszul-verify")
+        complex_ = KoszulTensorComplex.of(job.module, job.ring, ())
+        profile = homology_profile(complex_, job.window)
+        assert json.loads(cli.run_job(job))["homology"] == [[g.to_json(), list(dims)] for g, dims in profile]
+        rows = json.loads(cli.run_job(replace(job, command="euler-check")))["rows"]
+        assert rows == [[g.to_json(), terms, homology] for g, terms, homology in euler_profile(complex_, job.window)]
+
+    @pytest.mark.parametrize("command", ["koszul-verify", "euler-check"])
+    def test_repeats_and_order_do_not_matter(self, command):
+        canonical = stdout_of(dict(SEQUENCE_JOB, sequence=[1, 2]), command)
+        assert stdout_of(dict(SEQUENCE_JOB, sequence=[2, 1, 2]), command) == canonical
+        assert stdout_of(SEQUENCE_JOB, command) == canonical
 
 
 class TestGolden:

@@ -82,11 +82,6 @@ class TestValidateRing:
         ring = RingSpec.of([("a", unit(1)), ("a", unit(2))])
         assert not validate_ring(ring).ok
 
-    def test_truncation_drops_unreachable_columns(self):
-        ring = RingSpec.matrix_ring([1, 1, 2])
-        kept = ring.truncated(Window.of([degree(3, 3)]))
-        assert [v.name for v in kept.variables] == ["x[1,1]", "x[1,2]"]
-
 
 class TestRingHilbert:
     def test_two_variables_single_monomial_per_degree(self):
