@@ -161,6 +161,26 @@ class TestLinalg:
 
     @settings(max_examples=200, deadline=None)
     @given(shuffled_block_matrices())
+    @example([])  # 0 x n
+    @example([[], [], []])  # n x 0
+    @example([[0, 0], [0, 0]])
+    @example([[7]])
+    @example([[32003]])
+    def test_rank_over_q_matches_whole_matrix_elimination(self, matrix):
+        assert rank_fraction_free(matrix) == fraction_rank(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_block_matrices())
+    def test_ranks_leave_their_argument_unchanged(self, matrix):
+        before = [list(row) for row in matrix]
+        rank_fraction_free(matrix)
+        assert matrix == before
+        for p in (2, 32003):
+            rank_mod_p(matrix, p)
+            assert matrix == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_block_matrices())
     def test_blocks_partition_the_nonzero_entries(self, matrix):
         # number the nonzero entries, so each value names its own position
         counter = itertools.count(1)
