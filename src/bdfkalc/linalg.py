@@ -1,13 +1,14 @@
 """Exact ranks of integer matrices.
 
-Matrices are lists of rows of Python ints.  Over the rationals, rank is
-computed by fraction-free (Bareiss) elimination: every division is exact,
-so the arithmetic stays in arbitrary-precision integers.  Over a prime
-field, rank is taken per diagonal block: ``blocks`` permutes the rows
-and columns by the connected components of the nonzero pattern, and
-plain Gaussian elimination with modular inverses runs on each block.
-A Koszul differential of a monomial module splits this way by the fine
-grading, into blocks far smaller than the whole matrix.
+Matrices are lists of rows of Python ints.  Over both the rationals and
+a prime field, rank is taken per diagonal block: ``blocks`` permutes the
+rows and columns by the connected components of the nonzero pattern, and
+an elimination runs on each block.  Over the rationals it is
+fraction-free (Bareiss): every division is exact, so the arithmetic
+stays in arbitrary-precision integers.  Over a prime field it is plain
+Gaussian elimination with modular inverses.  A Koszul differential of a
+monomial module splits this way by the fine grading, into blocks far
+smaller than the whole matrix.
 The same grading leaves almost every entry zero, so ``composes_to_zero``
 tests a.b = 0 from the nonzero entries alone; ``matmul`` is its oracle.
 """
@@ -97,6 +98,11 @@ def blocks(matrix: IntMatrix) -> list[IntMatrix]:
 
 
 def rank_fraction_free(matrix: IntMatrix) -> int:
+    """Rank over the rationals: the sum of the ranks of the diagonal blocks."""
+    return sum(_bareiss(block) for block in blocks(matrix))
+
+
+def _bareiss(matrix: IntMatrix) -> int:
     """Rank over the rationals via Bareiss elimination (exact divisions)."""
     rows = [list(map(int, row)) for row in matrix]
     m = len(rows)

@@ -97,11 +97,11 @@ def test_free_serre_factor_reaches_the_homology_engine(monkeypatch):
 
 
 def test_rank_spans_count_differentials_not_blocks(monkeypatch):
-    """``linalg.rank_p`` sees one call per differential, however many blocks it splits into.
+    """Each rank span sees one call per differential, however many blocks it splits into.
 
-    The block split stays inside ``rank_mod_p``, so ``linalg.rank_p.calls``
-    keeps counting differentials, and characteristic 0 still reaches
-    ``linalg.rank_q``.
+    The block split stays inside ``rank_mod_p`` and ``rank_fraction_free``,
+    so ``linalg.rank_p.calls`` and ``linalg.rank_q.calls`` keep counting
+    differentials.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing

@@ -666,14 +666,15 @@ class TestEuler:
 
 
 class TestBettiBudget:
-    def test_matrix_ring_quotient_mod_p_on_window_44(self):
-        # a generous regression guard: this takes about 0.1 s in process.  The
-        # betti-p job: R/(x[1,1]x[1,2], x[2,1]x[2,2], x[3,1]^2) on matrix_ring([3, 3])
-        spec = {
-            "ring": {"columns": [3, 3]},
-            "module": {"node": "quotient", "gens": [[[1, 1], [4, 1]], [[2, 1], [5, 1]], [[3, 2]]]},
-            "window": [[[1, 4], [2, 4]]],
-        }
+    # The betti-p and betti-q jobs: R/(x[1,1]x[1,2], x[2,1]x[2,2], x[3,1]^2)
+    # on matrix_ring([3, 3]) at window (4,4), over F_32003 and over Q
+    SPEC = {
+        "ring": {"columns": [3, 3]},
+        "module": {"node": "quotient", "gens": [[[1, 1], [4, 1]], [[2, 1], [5, 1]], [[3, 2]]]},
+        "window": [[[1, 4], [2, 4]]],
+    }
+
+    def _cold_betti(self, characteristic: int, pin: str) -> None:
         caches = (
             modules.monomials_of_degree,
             modules._graded_piece,
@@ -684,9 +685,18 @@ class TestBettiBudget:
         for cached in caches:
             cached.cache_clear()
         started = time.perf_counter()
-        job = cli.parse_spec(json.dumps(spec), command="betti", characteristic=32003)
+        job = cli.parse_spec(json.dumps(self.SPEC), command="betti", characteristic=characteristic)
         output = cli.run_job(job)
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0, f"betti took {elapsed:.2f}s (budget 2s)"
         pins = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
-        assert output == json.loads(pins.read_text(encoding="utf-8"))["betti-p"]
+        assert output == json.loads(pins.read_text(encoding="utf-8"))[pin]
+
+    def test_matrix_ring_quotient_mod_p_on_window_44(self):
+        # a generous regression guard: this takes about 0.1 s in process
+        self._cold_betti(32003, "betti-p")
+
+    def test_matrix_ring_quotient_over_q_on_window_44(self):
+        # a generous regression guard: the rank over Q is taken per diagonal
+        # block, and this takes about 0.15 s in process (6.5 s whole-matrix)
+        self._cold_betti(0, "betti-q")
