@@ -697,6 +697,6 @@ class TestBettiBudget:
         self._cold_betti(32003, "betti-p")
 
     def test_matrix_ring_quotient_over_q_on_window_44(self):
-        # a generous regression guard: the rank over Q is taken per diagonal
-        # block, and this takes about 0.15 s in process (6.5 s whole-matrix)
+        # a generous guard on the per-block rank over Q: this takes about
+        # 0.2 s in process, and about 6.5 s with Bareiss on the whole matrix
         self._cold_betti(0, "betti-q")
