@@ -630,6 +630,31 @@ class TestChainCheckOnEveryComplex:
         assert answers == [True] * pairs
 
 
+class _WrongRowCount:
+    """A complex whose one map has the wrong number of rows for its target."""
+
+    support = SupportDescriptor.of([ZERO])
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def index_bound(self, g):
+        return 1
+
+    def piece_dim(self, n, g):
+        return 1 if n <= 1 and g == unit(1) else 0
+
+    def differential(self, n, g):
+        return [[] for _ in range(self.rows)]
+
+
+class TestShapeCheck:
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_wrong_row_count_names_the_index_and_the_degree(self, rows):
+        with pytest.raises(ValueError, match=f"^differential 1 at {unit(1)} "):
+            homology_profile(_WrongRowCount(rows), W33)
+
+
 class TestEuler:
     def test_koszul_complex_on_the_ring(self):
         assert euler_check(KoszulTensorComplex.of(RING_MODULE, KXY), W33)
