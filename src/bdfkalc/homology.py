@@ -12,15 +12,16 @@ takes exact ranks.  Graded Betti numbers, torsion dimension, the shape
 of the minimal free resolution, the Serre product's alternating torsion
 and the Euler-characteristic identity all go through it, so each of them
 rejects a complex whose differentials do not compose to zero.
-The chain law is checked from each differential's nonzero entries, read
-once and kept for the next index; rank still gets the dense matrix.  A
-Koszul piece looks up one module piece per distinct wedge degree.
+Each differential is built as sparse rows of (column, value) pairs and
+goes as built to the chain check and to ``rank``; no dense matrix is
+made.  A Koszul piece keeps one module piece per distinct wedge degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 from .degrees import (
@@ -33,10 +34,11 @@ from .degrees import (
     grlex_sorted,
     leq_q,
 )
-from .linalg import IntMatrix, composes_to_zero, rank, sparse_rows, zero_matrix
+from .linalg import SparseRows, composes_to_zero, rank
 from .modules import (
     RING_MODULE,
     BasisLabel,
+    GradedPiece,
     ModuleExpr,
     RingSpec,
     graded_piece,
@@ -59,18 +61,22 @@ def _canonical_sequence(seq: Iterable[int]) -> tuple[int, ...]:
 class KoszulPiece:
     """Degree-g part of the n-th Koszul term tensored with the module.
 
-    Each basis element is a pair (positions, label): the wedge's variable
-    positions, a strictly increasing tuple as ``combinations`` yields it
-    from the canonical sequence, and a module basis label in degree g minus
-    the wedge's degree.  Wedges come in ``combinations`` order, and each
-    wedge's labels in graded-piece order.
+    ``parts`` pairs each wedge, a strictly increasing tuple of variable
+    positions as ``combinations`` yields it from the canonical sequence, with
+    the module's graded piece in degree g minus the wedge's degree.  Each
+    basis element is a pair (positions, label); wedges come in
+    ``combinations`` order, and each wedge's labels in graded-piece order.
     """
 
-    basis: tuple[tuple[tuple[int, ...], BasisLabel], ...]
+    parts: tuple[tuple[tuple[int, ...], GradedPiece], ...]
 
-    @property
+    @cached_property
+    def basis(self) -> tuple[tuple[tuple[int, ...], BasisLabel], ...]:
+        return tuple((positions, label) for positions, piece in self.parts for label in piece.basis)
+
+    @cached_property
     def dimension(self) -> int:
-        return len(self.basis)
+        return sum(len(piece.basis) for _, piece in self.parts)
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +84,8 @@ def _koszul_piece(
     module: ModuleExpr, ring: RingSpec, seq: tuple[int, ...], n: int, g: Degree
 ) -> KoszulPiece:
     wedges = ring.wedges(seq, n)
-    inner = {d: graded_piece(module, ring, g - d).basis for d in dict.fromkeys(d for _, d in wedges)}
-    return KoszulPiece(tuple((positions, label) for positions, d in wedges for label in inner[d]))
+    inner = {d: graded_piece(module, ring, g - d) for d in dict.fromkeys(d for _, d in wedges)}
+    return KoszulPiece(tuple((positions, inner[d]) for positions, d in wedges))
 
 
 def koszul_piece(
@@ -101,45 +107,40 @@ def koszul_differential(
     seq: Iterable[int],
     n: int,
     g: Degree,
-) -> IntMatrix:
-    """Matrix of the n-th Koszul differential in degree g.
+) -> SparseRows:
+    """Sparse rows of the n-th Koszul differential in degree g.
 
     Dropping the slot at position l carries sign (-1)^l (first slot
     positive, so the length-1 case is plain multiplication by the
     variable) and multiplies the module element by the dropped variable.
-    Rows are looked up by plain tuples (wedge positions, label path,
-    monomial exponents), and each label is multiplied by each variable
-    once, however many wedges it is paired with.
+    A row is the face wedge's offset plus the product's index in its
+    module piece; columns are visited in order, so each row's increase.
     """
     if n < 1:
         raise ValueError("differentials start at homological index 1")
     sequence = _canonical_sequence(seq)
     source = koszul_piece(module, ring, sequence, n, g)
     target = koszul_piece(module, ring, sequence, n - 1, g)
-    index = {
-        (positions, label.path, label.monomial.exps): row
-        for row, (positions, label) in enumerate(target.basis)
-    }
-    images: dict[tuple, tuple | None] = {}
-    matrix = zero_matrix(target.dimension, source.dimension)
-    for col, (positions, label) in enumerate(source.basis):
-        element = (label.path, label.monomial.exps)
-        for slot, pos in enumerate(positions):
-            if (element, pos) not in images:
-                product = module.multiply_label(label, pos)
-                images[element, pos] = None if product is None else (product.path, product.monomial.exps)
-            image = images[element, pos]
-            if image is not None:
-                row = index[(positions[:slot] + positions[slot + 1 :],) + image]
-                matrix[row][col] += -1 if slot & 1 else 1
-    return matrix
+    sizes = (len(piece.basis) for _, piece in target.parts)
+    offset = dict(zip((face for face, _ in target.parts), accumulate(sizes, initial=0)))
+    rows: SparseRows = [[] for _ in range(target.dimension)]
+    start = 0
+    for positions, piece in source.parts:
+        for slot, pos in enumerate(positions if piece.basis else ()):
+            first = offset[positions[:slot] + positions[slot + 1 :]]
+            sign = -1 if slot & 1 else 1
+            for col, row in enumerate(piece.times(module, ring, pos), start):
+                if row is not None:
+                    rows[first + row].append((col, sign))
+        start += len(piece.basis)
+    return rows
 
 
-def var_action(module: ModuleExpr, ring: RingSpec, variable: int | str, g: Degree) -> IntMatrix:
-    """Matrix of multiplication by a variable, piece at g -> piece at g + deg.
+def var_action(module: ModuleExpr, ring: RingSpec, variable: int | str, g: Degree) -> SparseRows:
+    """Sparse rows of multiplication by a variable, piece at g -> piece at g + deg.
 
     This is the length-1 Koszul differential on that variable.  Rows index
-    the target basis, columns the source basis; entries are 0 or 1 since a
+    the target basis, columns the source basis; every value is 1, since a
     monomial maps to a monomial or dies in a quotient.
     """
     pos = ring.position(variable) if isinstance(variable, str) else variable
@@ -314,7 +315,7 @@ class KoszulTensorComplex:
     def piece_dim(self, n: int, g: Degree) -> int:
         return koszul_piece(self.module, self.ring, self.sequence, n, g).dimension
 
-    def differential(self, n: int, g: Degree) -> IntMatrix:
+    def differential(self, n: int, g: Degree) -> SparseRows:
         return koszul_differential(self.module, self.ring, self.sequence, n, g)
 
 
@@ -340,8 +341,8 @@ class ZeroDifferentialComplex:
             return 0
         return graded_piece(self.modules[n], self.ring, g).dimension
 
-    def differential(self, n: int, g: Degree) -> IntMatrix:
-        return zero_matrix(self.piece_dim(n - 1, g), self.piece_dim(n, g))
+    def differential(self, n: int, g: Degree) -> SparseRows:
+        return [[] for _ in range(self.piece_dim(n - 1, g))]
 
 
 @dataclass(frozen=True)
@@ -368,9 +369,9 @@ class AugmentedKoszulComplex:
             return 1 if g == ZERO else 0
         return koszul_piece(RING_MODULE, self.ring, all_variables(self.ring), n - 1, g).dimension
 
-    def differential(self, n: int, g: Degree) -> IntMatrix:
+    def differential(self, n: int, g: Degree) -> SparseRows:
         if n == 1:
-            return [[1]] if g == ZERO else []
+            return [[(0, 1)]] if g == ZERO else []
         return koszul_differential(RING_MODULE, self.ring, all_variables(self.ring), n - 1, g)
 
 
@@ -383,23 +384,22 @@ def _complex_snapshot(complex_, g: Degree, characteristic: int) -> tuple[list[in
     bound = complex_.index_bound(g)
     dims = [complex_.piece_dim(n, g) for n in range(bound + 2)]
     ranks = [0] * (bound + 3)
-    # one differential's nonzero entries are held for the next index's chain
-    # check; a map out of or into a zero piece is empty and is never built
+    # one differential's rows are held for the next index's chain check;
+    # a map out of or into a zero piece is empty and is never built
     previous = None
     for n in range(1, bound + 2):
         if not (dims[n - 1] and dims[n]):
             previous = None
             continue
         current = complex_.differential(n, g)
-        if len(current) != dims[n - 1] or len(current[0]) != dims[n]:
-            raise ValueError(f"differential {n} at {g} is not {dims[n - 1]}x{dims[n]}")
-        entries = sparse_rows(current)
-        if previous and not composes_to_zero(previous, entries):
+        if len(current) != dims[n - 1]:
+            raise ValueError(f"differential {n} at {g} has {len(current)} rows, not {dims[n - 1]}")
+        if previous and not composes_to_zero(previous, current):
             raise ChainComplexError(
                 f"differentials {n - 1} and {n} do not compose to zero at {g}"
             )
         ranks[n] = rank(current, characteristic)
-        previous = entries
+        previous = current
     homology = [dims[n] - ranks[n] - ranks[n + 1] for n in range(bound + 1)]
     return dims, homology
 

@@ -1,16 +1,16 @@
-"""Exact ranks of integer matrices.
+"""Exact ranks of integer matrices given as sparse rows.
 
-Matrices are lists of rows of Python ints.  Over both the rationals and
-a prime field, rank is taken per diagonal block: ``blocks`` permutes the
-rows and columns by the connected components of the nonzero pattern, and
-an elimination runs on each block.  Over the rationals it is
-fraction-free (Bareiss): every division is exact, so the arithmetic
-stays in arbitrary-precision integers.  Over a prime field it is plain
-Gaussian elimination with modular inverses.  A Koszul differential of a
-monomial module splits this way by the fine grading, into blocks far
-smaller than the whole matrix.
-The same grading leaves almost every entry zero, so ``composes_to_zero``
-tests a.b = 0 from the nonzero entries alone; ``matmul`` is its oracle.
+A row is a list of (column, value) pairs with nonzero values.  Over the
+rationals and over a prime field alike, rank is taken per diagonal block:
+``blocks`` groups rows and columns by the connected components of the
+pairs and builds only each block as a dense matrix.  Over the rationals
+a block is eliminated fraction-free (Bareiss), with exact divisions in
+arbitrary-precision integers; over a prime field, by Gaussian elimination
+with modular inverses.  A Koszul differential of a monomial module splits
+this way by the fine grading, into blocks far smaller than the whole
+matrix, and ``composes_to_zero`` tests a.b = 0 from the pairs alone.
+``zero_matrix``, ``sparse_rows``, ``matmul`` and ``is_zero`` work on
+dense matrices and serve as oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import compress
 
 IntMatrix = list[list[int]]
+SparseRows = list[list[tuple[int, int]]]
 
 
 def zero_matrix(rows: int, cols: int) -> IntMatrix:
@@ -43,14 +44,14 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def sparse_rows(matrix: IntMatrix) -> list[list[tuple[int, int]]]:
+def sparse_rows(matrix: IntMatrix) -> SparseRows:
     """Each row's nonzero entries as (column, value) pairs, found by compress."""
     cols = range(len(matrix[0]) if matrix else 0)
     return [[(j, row[j]) for j in compress(cols, row)] for row in matrix]
 
 
-def composes_to_zero(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int]]]) -> bool:
-    """Whether a.b = 0, given both as ``sparse_rows``: each product row is summed in a dict."""
+def composes_to_zero(a: SparseRows, b: SparseRows) -> bool:
+    """Whether a.b = 0, given both as sparse rows: each product row is summed in a dict."""
     for row in a:
         composite: dict[int, int] = {}
         for k, coeff in row:
@@ -61,45 +62,42 @@ def composes_to_zero(a: list[list[tuple[int, int]]], b: list[list[tuple[int, int
     return True
 
 
-def blocks(matrix: IntMatrix) -> list[IntMatrix]:
-    """The diagonal blocks of the matrix, zero rows and zero columns dropped.
+def blocks(rows: SparseRows) -> list[IntMatrix]:
+    """The diagonal blocks of the matrix with these rows, as dense matrices.
 
-    Two columns fall in one block when some row is nonzero in both (joined
-    by union-find); a row goes with the block of its nonzero columns.  Up
-    to a permutation of rows and columns the matrix is the direct sum of
-    the blocks and zeros, so its rank over any field is the sum of theirs.
+    Two columns fall in one block when some row has entries in both
+    (joined by union-find); a row goes with the block of its columns, and
+    an empty row with none.  Each block keeps its rows in order and its
+    columns ascending.  Up to a permutation of rows and columns the matrix
+    is the direct sum of the blocks and zeros, so its rank over any field
+    is the sum of theirs.
     """
-    cols = range(len(matrix[0]) if matrix else 0)
-    parent = list(cols)
+    parent: dict[int, int] = {}
 
     def find(j: int) -> int:
-        while parent[j] != j:
+        while parent.setdefault(j, j) != j:
             parent[j] = parent[parent[j]]
             j = parent[j]
         return j
 
-    supported = []
-    for row in matrix:
-        nonzero = list(compress(cols, row))
-        if nonzero:
-            root = find(nonzero[0])
-            for j in nonzero[1:]:
-                parent[find(j)] = root
-            supported.append((row, nonzero[0]))
-    rows_of: dict[int, list[list[int]]] = {}
-    for row, first in supported:
-        rows_of.setdefault(find(first), []).append(row)
-    cols_of: dict[int, list[int]] = {root: [] for root in rows_of}
-    for j in cols:
-        block = cols_of.get(find(j))  # None for a zero column
-        if block is not None:
-            block.append(j)
-    return [[[row[j] for j in cols_of[root]] for row in rows] for root, rows in rows_of.items()]
+    for row in rows:
+        for j, _ in row:
+            parent[find(j)] = find(row[0][0])
+    rows_of: dict[int, SparseRows] = {}
+    for row in filter(None, rows):
+        rows_of.setdefault(find(row[0][0]), []).append(row)
+    cols_of: dict[int, list[int]] = {}
+    for j in sorted(parent):
+        cols_of.setdefault(find(j), []).append(j)
+    return [
+        [[entries.get(j, 0) for j in cols_of[root]] for entries in map(dict, members)]
+        for root, members in rows_of.items()
+    ]
 
 
-def rank_fraction_free(matrix: IntMatrix) -> int:
+def rank_fraction_free(rows: SparseRows) -> int:
     """Rank over the rationals: the sum of the ranks of the diagonal blocks."""
-    return sum(_bareiss(block) for block in blocks(matrix))
+    return sum(_bareiss(block) for block in blocks(rows))
 
 
 def _bareiss(matrix: IntMatrix) -> int:
@@ -177,10 +175,10 @@ def check_characteristic(p: int) -> None:
         _check_prime(p)
 
 
-def rank_mod_p(matrix: IntMatrix, p: int) -> int:
+def rank_mod_p(rows: SparseRows, p: int) -> int:
     """Rank over the field with p elements: the sum of the ranks of the diagonal blocks."""
     _check_prime(p)
-    return sum(_eliminate_mod_p(block, p) for block in blocks(matrix))
+    return sum(_eliminate_mod_p(block, p) for block in blocks(rows))
 
 
 def _eliminate_mod_p(matrix: IntMatrix, p: int) -> int:
@@ -208,7 +206,7 @@ def _eliminate_mod_p(matrix: IntMatrix, p: int) -> int:
     return rank
 
 
-def rank(matrix: IntMatrix, characteristic: int = 0) -> int:
+def rank(rows: SparseRows, characteristic: int = 0) -> int:
     if characteristic == 0:
-        return rank_fraction_free(matrix)
-    return rank_mod_p(matrix, characteristic)
+        return rank_fraction_free(rows)
+    return rank_mod_p(rows, characteristic)

@@ -276,6 +276,23 @@ class GradedPiece:
     def dimension(self) -> int:
         return len(self.basis)
 
+    def times(self, module: ModuleExpr, ring: RingSpec, pos: int) -> tuple[int | None, ...]:
+        """Index of x_pos times each label in the piece at degree + deg(x_pos), None if it dies.
+
+        The piece must be the module's own ``graded_piece``.  Each map is kept
+        on it, so a label is multiplied by a variable once per piece's life.
+        """
+        if pos not in self._times:
+            target = graded_piece(module, ring, self.degree + ring.degree_of(pos)).basis
+            index = {label: k for k, label in enumerate(target)}
+            products = (module.multiply_label(label, pos) for label in self.basis)
+            self._times[pos] = tuple(None if p is None else index[p] for p in products)
+        return self._times[pos]
+
+    @cached_property
+    def _times(self) -> dict[int, tuple[int | None, ...]]:
+        return {}
+
 
 class ModuleExpr:
     """Constructive graded module; subclasses enumerate bases degreewise."""

@@ -53,6 +53,15 @@ def fraction_rank(matrix) -> int:
     return rank
 
 
+def dense(rows, cols: int):
+    """The dense matrix with these sparse rows of (column, value) pairs and cols columns."""
+    matrix = [[0] * cols for _ in rows]
+    for target, row in zip(matrix, rows):
+        for j, v in row:
+            target[j] += v
+    return matrix
+
+
 def dense_rank_mod_p(matrix, p: int) -> int:
     """Rank over the field with p elements by Gaussian elimination on the whole matrix."""
     rows = [[entry % p for entry in row] for row in matrix]

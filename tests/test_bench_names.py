@@ -6,6 +6,7 @@ benchmark's own self-test.  This installs the tracer, sees one call go
 through it, and restores the package.
 """
 
+import ast
 from pathlib import Path
 
 from bdfkalc import (
@@ -27,6 +28,7 @@ from bdfkalc import (
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "bdfkalc"
 
 
 def test_traced_names_resolve(monkeypatch):
@@ -131,3 +133,32 @@ def test_rank_spans_count_differentials_not_blocks(monkeypatch):
     assert mod_p["linalg.rank_p"][0] == built
     assert both["linalg.rank_p"][0] == built
     assert both["linalg.rank_q"][0] == both["homology.koszul_differential"][0] - built > 0
+
+
+def _decorated_caches(path: Path):
+    """(module, qualified name) of every function in the file decorated with lru_cache or cache."""
+    def name_of(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    name_of(d) in ("lru_cache", "cache") for d in child.decorator_list
+                ):
+                    yield path.stem, qualified
+                yield from walk(child, qualified + ".")
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), "")
+
+
+def test_every_lru_cache_is_cleared_by_the_tracer(monkeypatch):
+    """The traced pass clears each package cache between jobs, so no job reuses another's work."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    found = {entry for path in sorted(SRC.glob("*.py")) for entry in _decorated_caches(path)}
+    assert ("modules", "_graded_piece") in found
+    assert found <= set(tracing.CACHES), sorted(found - set(tracing.CACHES))

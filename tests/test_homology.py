@@ -47,7 +47,7 @@ from bdfkalc import (
     var_action,
     variable_quotient,
 )
-from bdfkalc import cli, homology, modules
+from bdfkalc import cli, grothendieck, homology, linalg, modules
 from bdfkalc.linalg import (
     CharacteristicError,
     blocks,
@@ -60,7 +60,7 @@ from bdfkalc.linalg import (
     rank_mod_p,
     sparse_rows,
 )
-from oracles import dense_rank_mod_p, fraction_rank, koszul_differential_by_labels
+from oracles import dense, dense_rank_mod_p, fraction_rank, koszul_differential_by_labels
 
 KXY = RingSpec.standard(2)
 W33 = Window.of([degree(3, 3)])
@@ -121,7 +121,7 @@ class TestLinalg:
             rows = rng.randint(0, 4)
             cols = rng.randint(0, 4)
             matrix = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            assert rank_fraction_free(matrix) == fraction_rank(matrix)
+            assert rank_fraction_free(sparse_rows(matrix)) == fraction_rank(matrix)
 
     def test_matmul_matches_the_plain_triple_sum(self):
         rng = random.Random(37)
@@ -157,7 +157,7 @@ class TestLinalg:
     @example([[32003]])
     def test_rank_mod_p_matches_whole_matrix_elimination(self, matrix):
         for p in (2, 3, 32003):
-            assert rank_mod_p(matrix, p) == dense_rank_mod_p(matrix, p)
+            assert rank_mod_p(sparse_rows(matrix), p) == dense_rank_mod_p(matrix, p)
 
     @settings(max_examples=200, deadline=None)
     @given(shuffled_block_matrices())
@@ -167,17 +167,18 @@ class TestLinalg:
     @example([[7]])
     @example([[32003]])
     def test_rank_over_q_matches_whole_matrix_elimination(self, matrix):
-        assert rank_fraction_free(matrix) == fraction_rank(matrix)
+        assert rank_fraction_free(sparse_rows(matrix)) == fraction_rank(matrix)
 
     @settings(max_examples=100, deadline=None)
     @given(shuffled_block_matrices())
     def test_ranks_leave_their_argument_unchanged(self, matrix):
-        before = [list(row) for row in matrix]
-        rank_fraction_free(matrix)
-        assert matrix == before
+        rows = sparse_rows(matrix)
+        before = [list(row) for row in rows]
+        rank_fraction_free(rows)
+        assert rows == before
         for p in (2, 32003):
-            rank_mod_p(matrix, p)
-            assert matrix == before
+            rank_mod_p(rows, p)
+            assert rows == before
 
     @settings(max_examples=200, deadline=None)
     @given(shuffled_block_matrices())
@@ -189,7 +190,7 @@ class TestLinalg:
         seen_rows: set[int] = set()
         seen_cols: set[int] = set()
         seen: list[int] = []
-        for block in blocks(numbered):
+        for block in blocks(sparse_rows(numbered)):
             assert all(map(any, block)) and all(map(any, zip(*block)))
             row_sets = [{where[v][0] for v in row if v} for row in block]
             col_sets = [{where[v][1] for v in col if v} for col in zip(*block)]
@@ -206,16 +207,17 @@ class TestLinalg:
     @settings(max_examples=100, deadline=None)
     @given(shuffled_block_matrices())
     def test_block_ranks_sum_to_the_rank_over_q(self, matrix):
-        assert sum(rank_fraction_free(block) for block in blocks(matrix)) == fraction_rank(matrix)
+        ranks = (rank_fraction_free(sparse_rows(block)) for block in blocks(sparse_rows(matrix)))
+        assert sum(ranks) == fraction_rank(matrix)
 
     def test_prime_field_rank_differs_where_it_should(self):
-        assert rank_fraction_free([[2]]) == 1
-        assert rank_mod_p([[2]], 2) == 0
-        assert rank_mod_p([[2]], 3) == 1
+        assert rank_fraction_free(sparse_rows([[2]])) == 1
+        assert rank_mod_p(sparse_rows([[2]]), 2) == 0
+        assert rank_mod_p(sparse_rows([[2]]), 3) == 1
 
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
-            rank_mod_p([[1]], 4)
+            rank_mod_p(sparse_rows([[1]]), 4)
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -240,7 +242,7 @@ class TestCharacteristicCheck:
     def test_large_primes_accepted(self):
         for p in (32003, 10**15 + 37):
             check_characteristic(p)
-        assert rank_mod_p([[1, 2], [2, 4]], 10**15 + 37) == 1
+        assert rank_mod_p(sparse_rows([[1, 2], [2, 4]]), 10**15 + 37) == 1
 
     def test_zero_accepted_and_small_values_rejected(self):
         check_characteristic(0)
@@ -320,11 +322,11 @@ class TestKoszulPiece:
 
 class TestKoszulDifferential:
     def test_length_one_is_multiplication(self):
-        assert koszul_differential(RING_MODULE, KXY, (1,), 1, unit(1)) == [[1]]
+        assert koszul_differential(RING_MODULE, KXY, (1,), 1, unit(1)) == sparse_rows([[1]])
 
     def test_top_differential_hand_expansion(self):
         # e_x ^ e_y |-> x * e_y - y * e_x at degree (1,1)
-        matrix = koszul_differential(RING_MODULE, KXY, (1, 2), 2, degree(1, 1))
+        matrix = dense(koszul_differential(RING_MODULE, KXY, (1, 2), 2, degree(1, 1)), 1)
         target = koszul_piece(RING_MODULE, KXY, (1, 2), 1, degree(1, 1))
         wedges = [wedge for wedge, _ in target.basis]
         column = [matrix[r][0] for r in range(len(wedges))]
@@ -344,8 +346,9 @@ class TestKoszulDifferential:
             for _ in range(8):
                 g = degree(*(rng.randint(0, 2) for _ in range(3)))
                 for n in range(2, 4):
-                    d_n = koszul_differential(module, ring, seq, n, g)
-                    d_prev = koszul_differential(module, ring, seq, n - 1, g)
+                    cols = [koszul_piece(module, ring, seq, k, g).dimension for k in (n - 1, n)]
+                    d_n = dense(koszul_differential(module, ring, seq, n, g), cols[1])
+                    d_prev = dense(koszul_differential(module, ring, seq, n - 1, g), cols[0])
                     assert is_zero(matmul(d_prev, d_n))
 
 
@@ -378,14 +381,14 @@ class TestKoszulDifferentialOracle:
                 for g in candidate_degrees(module.lower_bounds(ring), window):
                     bound = koszul_index_bound(module, ring, seq, g)
                     for n in range(1, bound + 2):
-                        expected = koszul_differential_by_labels(module, ring, seq, n, g)
+                        expected = sparse_rows(koszul_differential_by_labels(module, ring, seq, n, g))
                         assert koszul_differential(module, ring, seq, n, g) == expected, (module, seq, n, g)
 
     def test_var_action_is_the_one_variable_differential(self):
         for ring, module, window in self.cases():
             for g in candidate_degrees(module.lower_bounds(ring), window):
                 for pos, variable in enumerate(ring.variables, start=1):
-                    expected = koszul_differential_by_labels(module, ring, (pos,), 1, g + variable.degree)
+                    expected = sparse_rows(koszul_differential_by_labels(module, ring, (pos,), 1, g + variable.degree))
                     assert var_action(module, ring, pos, g) == expected, (module, pos, g)
                     assert var_action(module, ring, variable.name, g) == expected
 
@@ -564,10 +567,8 @@ class _BrokenComplex:
 
     def differential(self, n, g):
         if g == ZERO and n <= 2:
-            return [[1]]
-        rows = self.piece_dim(n - 1, g)
-        cols = self.piece_dim(n, g)
-        return [[0] * cols for _ in range(rows)]
+            return sparse_rows([[1]])
+        return [[] for _ in range(self.piece_dim(n - 1, g))]
 
 
 class _NoncommutingQuotient(MonomialQuotient):
@@ -625,9 +626,63 @@ class TestChainCheckOnEveryComplex:
             for n in range(2, bound + 2):
                 if dims[n - 2] and dims[n - 1] and dims[n]:
                     pairs += 1
-                    assert is_zero(matmul(complex_.differential(n - 1, g), complex_.differential(n, g)))
+                    d_prev = dense(complex_.differential(n - 1, g), dims[n - 1])
+                    assert is_zero(matmul(d_prev, dense(complex_.differential(n, g), dims[n])))
         assert pairs > 0
         assert answers == [True] * pairs
+
+
+def _complexes_with_windows():
+    for ring, module, window in TestKoszulDifferentialOracle().cases():
+        full = all_variables(ring)
+        for seq in (full, full[::2]):
+            yield KoszulTensorComplex.of(module, ring, seq), window
+    yield AugmentedKoszulComplex(RingSpec.standard(3)), Window.of([degree(2, 2, 2)])
+    yield AugmentedKoszulComplex(RingSpec.matrix_ring([2, 2])), Window.of([degree(2, 2)])
+    yield ZeroDifferentialComplex((RING_MODULE, XY, RING_MODULE), KXY), W33
+
+
+class TestSparseRows:
+    """Every differential reaches the engine as canonical sparse rows, and no dense matrix is built."""
+
+    def test_rows_are_canonical_on_every_complex_class(self):
+        classes = set()
+        for complex_, window in _complexes_with_windows():
+            entries = 0
+            for g in candidate_degrees(complex_.support, window):
+                for n in range(1, complex_.index_bound(g) + 2):
+                    rows = complex_.differential(n, g)
+                    assert len(rows) == complex_.piece_dim(n - 1, g), (complex_, n, g)
+                    cols = range(complex_.piece_dim(n, g))
+                    for row in rows:
+                        columns = [j for j, _ in row]
+                        assert all(a < b for a, b in zip(columns, columns[1:])), (complex_, n, g, row)
+                        assert all(j in cols for j in columns), (complex_, n, g, row)
+                        assert all(type(v) is int and v for _, v in row), (complex_, n, g, row)
+                        entries += len(row)
+            assert entries or isinstance(complex_, ZeroDifferentialComplex), complex_
+            classes.add(type(complex_))
+        assert classes == {KoszulTensorComplex, AugmentedKoszulComplex, ZeroDifferentialComplex}
+
+    @pytest.mark.parametrize(
+        "spec,command,golden",
+        [("betti_xy.json", "betti", "betti_xy.json.golden"), ("koszul_m3.json", "koszul-verify", "koszul_m3.json.golden")],
+    )
+    def test_golden_jobs_build_no_dense_matrix(self, spec, command, golden, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a dense matrix was built on the engine path")
+
+        for name in ("zero_matrix", "sparse_rows"):
+            original = getattr(linalg, name)
+            for module in (linalg, homology, modules, grothendieck, cli):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        for cached in (modules.monomials_of_degree, modules._graded_piece, homology._koszul_piece):
+            cached.cache_clear()
+        folder = Path(__file__).resolve().parent / "golden"
+        job = cli.parse_spec((folder / spec).read_text(encoding="utf-8"), command=command, output="json")
+        assert cli.run_job(job) == (folder / golden).read_text(encoding="utf-8")
 
 
 class _WrongRowCount:
@@ -682,8 +737,8 @@ class TestEuler:
             field = residue_field(ring)
             for g in candidate_degrees(complex_.support, window):
                 assert complex_.piece_dim(0, g) == graded_piece(field, ring, g).dimension, g
-                assert complex_.differential(1, g) == ([[1]] if g == ZERO else []), g
-            assert complex_.differential(1, ZERO) == [[1]]
+                assert complex_.differential(1, g) == (sparse_rows([[1]]) if g == ZERO else []), g
+            assert complex_.differential(1, ZERO) == sparse_rows([[1]])
 
     def test_non_chain_map_input_is_rejected(self):
         with pytest.raises(ChainComplexError):
@@ -719,9 +774,11 @@ class TestBettiBudget:
 
     def test_matrix_ring_quotient_mod_p_on_window_44(self):
         # a generous regression guard: this takes about 0.1 s in process
+        # (0.15-0.2 s while differentials were built as dense matrices)
         self._cold_betti(32003, "betti-p")
 
     def test_matrix_ring_quotient_over_q_on_window_44(self):
         # a generous guard on the per-block rank over Q: this takes about
-        # 0.2 s in process, and about 6.5 s with Bareiss on the whole matrix
+        # 0.1 s in process (0.2 s while differentials were built as dense
+        # matrices), and about 6.5 s with Bareiss on the whole matrix
         self._cold_betti(0, "betti-q")
