@@ -114,7 +114,7 @@ def koszul_differential(
     positive, so the length-1 case is plain multiplication by the
     variable) and multiplies the module element by the dropped variable.
     A row is the face wedge's offset plus the product's index in its
-    module piece; columns are visited in order, so each row's increase.
+    module piece; columns are visited in order, so they rise along a row.
     """
     if n < 1:
         raise ValueError("differentials start at homological index 1")

@@ -137,6 +137,7 @@ def test_rank_spans_count_differentials_not_blocks(monkeypatch):
 
 def _decorated_caches(path: Path):
     """(module, qualified name) of every function in the file decorated with lru_cache or cache."""
+
     def name_of(node):
         node = node.func if isinstance(node, ast.Call) else node
         return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)

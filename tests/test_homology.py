@@ -388,7 +388,8 @@ class TestKoszulDifferentialOracle:
         for ring, module, window in self.cases():
             for g in candidate_degrees(module.lower_bounds(ring), window):
                 for pos, variable in enumerate(ring.variables, start=1):
-                    expected = sparse_rows(koszul_differential_by_labels(module, ring, (pos,), 1, g + variable.degree))
+                    by_labels = koszul_differential_by_labels(module, ring, (pos,), 1, g + variable.degree)
+                    expected = sparse_rows(by_labels)
                     assert var_action(module, ring, pos, g) == expected, (module, pos, g)
                     assert var_action(module, ring, variable.name, g) == expected
 
@@ -666,7 +667,10 @@ class TestSparseRows:
 
     @pytest.mark.parametrize(
         "spec,command,golden",
-        [("betti_xy.json", "betti", "betti_xy.json.golden"), ("koszul_m3.json", "koszul-verify", "koszul_m3.json.golden")],
+        [
+            ("betti_xy.json", "betti", "betti_xy.json.golden"),
+            ("koszul_m3.json", "koszul-verify", "koszul_m3.json.golden"),
+        ],
     )
     def test_golden_jobs_build_no_dense_matrix(self, spec, command, golden, monkeypatch):
         def refuse(*args):

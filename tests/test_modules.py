@@ -262,14 +262,15 @@ class TestVarAction:
     def test_actions_commute(self):
         rng = random.Random(5)
         modules = [RING_MODULE, XY, XY_IDEAL, FreeModule.of([unit(1), degree(0, 1)])]
+
+        def action(module, name, h):
+            return dense(var_action(module, KXY, name, h), graded_piece(module, KXY, h).dimension)
+
         for module in modules:
             for _ in range(10):
                 g = degree(rng.randint(0, 2), rng.randint(0, 2))
-                def action(name, h):
-                    return dense(var_action(module, KXY, name, h), graded_piece(module, KXY, h).dimension)
-
-                xy_path = matmul(action("x2", g + unit(1)), action("x1", g))
-                yx_path = matmul(action("x1", g + unit(2)), action("x2", g))
+                xy_path = matmul(action(module, "x2", g + unit(1)), action(module, "x1", g))
+                yx_path = matmul(action(module, "x1", g + unit(2)), action(module, "x2", g))
                 assert xy_path == yx_path
 
 
