@@ -229,3 +229,41 @@ class TestKClassEquality:
         payload = class_of(XY, KXY, W33).to_json()
         assert payload["provenance"] == "quotient(x1*x2)"
         assert payload["coeffs"][0] == [[], 1]
+
+
+K3 = RingSpec.standard(3)
+SQUARE_AND_MIXED = [Monomial(((1, 2),)), Monomial(((2, 1), (3, 1)))]
+
+
+class TestDescribe:
+    """The printed form of each module node, which provenance carries to stdout.
+
+    Generators print in graded-lex order, so x2*x3 comes before x1^2.
+    """
+
+    @pytest.mark.parametrize(
+        "module, expected",
+        [
+            (MonomialQuotient.of(SQUARE_AND_MIXED), "quotient(x2*x3, x1^2)"),
+            (MonomialIdeal.of(SQUARE_AND_MIXED), "ideal(x2*x3, x1^2)"),
+            (MonomialIdeal.of([Monomial()]), "ideal(1)"),
+            (FreeModule.of([unit(1), ZERO]), "free(0, e1)"),
+            (
+                ShiftedModule(MonomialQuotient.of(SQUARE_AND_MIXED), degree(1, 0, 2)),
+                "shift(quotient(x2*x3, x1^2), e1+2e3)",
+            ),
+            (
+                DirectSum.of([MonomialIdeal.of([Monomial(((3, 3),))]), FreeModule.of([degree(0, -1, 0)])]),
+                "sum(ideal(x3^3), free(-e2))",
+            ),
+            (MonomialQuotient.of([]), "ring"),
+            (FreeModule.of([]), "0"),
+        ],
+    )
+    def test_describe(self, module, expected):
+        assert module.describe(K3) == expected
+
+    def test_serre_provenance_names_both_factors(self):
+        left, right = FreeModule.of([ZERO, unit(1)]), MonomialQuotient.of(SQUARE_AND_MIXED)
+        result = serre_product(left, right, K3, Window.of([degree(1, 1, 1)]))
+        assert result.provenance == "serre(free(0, e1), quotient(x2*x3, x1^2))"
