@@ -45,6 +45,7 @@ from .modules import (
     ShiftedModule,
     hilbert,
     kseries,
+    monomial,
     require_valid,
 )
 from .series import NotInvertibleError, QSeries, invert, truncate
@@ -114,8 +115,8 @@ def _parse_degree(data, where: str, errors: list) -> Degree | None:
 
 
 def _parse_exponents(data, num_vars: int, where: str, errors: list) -> Monomial | None:
-    gen = _parse_pairs(Monomial, data, "generator", "position, exponent", where, errors)
-    top = gen.exps[-1][0] if gen is not None and gen.exps else 0
+    gen = _parse_pairs(monomial, data, "generator", "position, exponent", where, errors)
+    top = gen.max_index() if gen is not None else 0
     if top > num_vars:
         errors.append((where, f"position {top} exceeds the {num_vars} ring variables"))
         return None

@@ -78,7 +78,7 @@ def _koszul_summands(module: ModuleExpr) -> list[tuple[Degree, tuple[int, ...]]]
     if isinstance(module, MonomialQuotient):
         if any(gen.total() != 1 for gen in module.gens):
             return None
-        return [(ZERO, tuple(sorted(gen.exps[0][0] for gen in module.gens)))]
+        return [(ZERO, tuple(sorted(gen.entries[0][0] for gen in module.gens)))]
     if isinstance(module, ShiftedModule):
         inner = _koszul_summands(module.inner)
         if inner is None:

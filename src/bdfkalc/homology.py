@@ -129,7 +129,7 @@ def koszul_differential(
         for slot, pos in enumerate(positions if piece.basis else ()):
             first = offset[positions[:slot] + positions[slot + 1 :]]
             sign = -1 if slot & 1 else 1
-            for col, row in enumerate(piece.times(module, ring, pos), start):
+            for col, row in enumerate(piece.images(module, ring, pos), start):
                 if row is not None:
                     rows[first + row].append((col, sign))
         start += len(piece.basis)

@@ -24,6 +24,7 @@ from .degrees import (
     Window,
     candidate_degrees,
     grlex_sorted,
+    leq_q,
     unit,
 )
 from .series import LaurentSeries, QSeries, mul_q
@@ -72,6 +73,18 @@ class RingSpec:
 
     def degree_of(self, pos: int) -> Degree:
         return self.variables[pos - 1].degree
+
+    def degree(self, m: Degree) -> Degree:
+        """The degree of the monomial with exponent vector m."""
+        return sum((self.degree_of(pos).scaled(e) for pos, e in m.entries), ZERO)
+
+    def describe(self, m: Degree) -> str:
+        """The monomial with exponent vector m as a product of variable names, or 1."""
+        parts = []
+        for pos, e in m.entries:
+            name = self.variables[pos - 1].name
+            parts.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(parts) or "1"
 
     def wedges(self, seq: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], Degree], ...]:
         """The n-subsets of the increasing seq with their degrees, in ``combinations`` order."""
@@ -127,74 +140,16 @@ def require_valid(ring: RingSpec) -> None:
         raise RingValidationError("; ".join(report.problems))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector over ring variable positions (1-based), sparse and sorted."""
-
-    exps: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        previous = 0
-        for pos, e in self.exps:
-            if pos <= previous:
-                raise ValueError(
-                    f"positions must be >= 1 and strictly increasing: position {pos} in {self.exps}"
-                )
-            if e <= 0:
-                raise ValueError(f"exponent at position {pos} must be positive")
-            previous = pos
-
-    @staticmethod
-    def of(items: Iterable[tuple[int, int]]) -> "Monomial":
-        merged: dict[int, int] = {}
-        for pos, e in items:
-            merged[pos] = merged.get(pos, 0) + e
-        return Monomial(tuple(sorted((p, e) for p, e in merged.items() if e)))
-
-    def exponent(self, pos: int) -> int:
-        for p, e in self.exps:
-            if p == pos:
-                return e
-        return 0
-
-    def times(self, pos: int) -> "Monomial":
-        """This monomial multiplied by the variable at pos: one exponent goes up by one."""
-        exps = self.exps
-        for k, (p, e) in enumerate(exps):
-            if p >= pos:
-                bumped = ((pos, e + 1),) if p == pos else ((pos, 1), (p, e))
-                return Monomial(exps[:k] + bumped + exps[k + 1 :])
-        return Monomial(exps + ((pos, 1),))
-
-    def divisible_by(self, other: "Monomial") -> bool:
-        return all(self.exponent(p) >= e for p, e in other.exps)
-
-    def degree(self, ring: RingSpec) -> Degree:
-        result = ZERO
-        for pos, e in self.exps:
-            result = result + ring.degree_of(pos).scaled(e)
-        return result
-
-    def total(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def key(self, num_vars: int) -> tuple:
-        dense = [0] * num_vars
-        for pos, e in self.exps:
-            dense[pos - 1] = e
-        return (self.total(), tuple(dense))
-
-    def describe(self, ring: RingSpec) -> str:
-        if not self.exps:
-            return "1"
-        parts = []
-        for pos, e in self.exps:
-            name = ring.variables[pos - 1].name
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+Monomial = Degree  # an exponent vector: its indices are variable positions
 
 
-ONE_MONOMIAL = Monomial()
+def monomial(pairs: Iterable[tuple[int, int]]) -> Monomial:
+    """The monomial with these (position, exponent) pairs; every exponent must be positive."""
+    pairs = tuple(pairs)
+    for pos, e in pairs:
+        if e <= 0:
+            raise ValueError(f"exponent at position {pos} must be positive")
+    return Degree(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -203,13 +158,12 @@ def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
 
     Bounded multiset enumeration on dense integer tuples: each variable of
     degree d can appear at most min_i(remaining_i / d_i) times, and a
-    Monomial is built only once the remainder reaches zero.  A branch
+    monomial is built only once the remainder reaches zero.  A branch
     stops as soon as its remainder is positive in a grading component
     that no later variable touches.
     """
     if not g.is_nonnegative():
         return ()
-    num_vars = len(ring.variables)
     width = max([g.max_index()] + [v.degree.max_index() for v in ring.variables])
     dense = [v.degree.dense(width) for v in ring.variables]
     # unreachable[pos - 1]: components no variable at pos or later touches
@@ -221,7 +175,7 @@ def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
 
     def extend(pos: int, remaining: tuple[int, ...], picked: list[tuple[int, int]]) -> None:
         if not any(remaining):
-            out.append(Monomial(tuple(picked)))
+            out.append(Degree(tuple(picked)))
             return
         if any(remaining[i] for i in unreachable[pos - 1]):
             return
@@ -235,7 +189,7 @@ def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
                 picked.pop()
 
     extend(1, g.dense(width), [])
-    return tuple(sorted(out, key=lambda m: m.key(num_vars)))
+    return tuple(grlex_sorted(out))
 
 
 def ring_dimension(ring: RingSpec, g: Degree) -> int:
@@ -276,21 +230,21 @@ class GradedPiece:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def times(self, module: ModuleExpr, ring: RingSpec, pos: int) -> tuple[int | None, ...]:
+    def images(self, module: ModuleExpr, ring: RingSpec, pos: int) -> tuple[int | None, ...]:
         """Index of x_pos times each label in the piece at degree + deg(x_pos), None if it dies.
 
         The piece must be the module's own ``graded_piece``.  Each map is kept
         on it, so a label is multiplied by a variable once per piece's life.
         """
-        if pos not in self._times:
+        if pos not in self._images:
             target = graded_piece(module, ring, self.degree + ring.degree_of(pos)).basis
             index = {label: k for k, label in enumerate(target)}
             products = (module.multiply_label(label, pos) for label in self.basis)
-            self._times[pos] = tuple(None if p is None else index[p] for p in products)
-        return self._times[pos]
+            self._images[pos] = tuple(None if p is None else index[p] for p in products)
+        return self._images[pos]
 
     @cached_property
-    def _times(self) -> dict[int, tuple[int | None, ...]]:
+    def _images(self) -> dict[int, tuple[int | None, ...]]:
         return {}
 
 
@@ -332,7 +286,7 @@ class FreeModule(ModuleExpr):
         return SupportDescriptor.of(self.shifts)
 
     def multiply_label(self, label, pos):
-        return BasisLabel(label.path, label.monomial.times(pos))
+        return BasisLabel(label.path, label.monomial + unit(pos))
 
     def describe(self, ring):
         if not self.shifts:
@@ -406,19 +360,16 @@ class DirectSum(ModuleExpr):
         return {"node": "sum", "parts": [p.to_json() for p in self.parts]}
 
 
-def _require_reduced(gens: tuple[Monomial, ...]) -> None:
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            if i != j and a.divisible_by(b):
+def _reduced_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The generators in graded-lex order, each with positive exponents and none dividing another."""
+    ordered = grlex_sorted(monomial(g.entries) for g in gens)
+    for i, a in enumerate(ordered):
+        for j, b in enumerate(ordered):
+            if i != j and leq_q(b, a):
                 raise ValueError(
-                    f"generators are not reduced: {a.exps} is divisible by {b.exps}"
+                    f"generators are not reduced: {a.entries} is divisible by {b.entries}"
                 )
-
-
-def _sorted_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    items = tuple(gens)
-    width = max((m.exps[-1][0] for m in items if m.exps), default=0)
-    return tuple(sorted(items, key=lambda m: m.key(width)))
+    return tuple(ordered)
 
 
 @dataclass(frozen=True)
@@ -429,26 +380,24 @@ class MonomialIdeal(ModuleExpr):
 
     @staticmethod
     def of(gens: Iterable[Monomial]) -> "MonomialIdeal":
-        ordered = _sorted_gens(gens)
-        _require_reduced(ordered)
-        return MonomialIdeal(ordered)
+        return MonomialIdeal(_reduced_gens(gens))
 
     def _labels(self, ring, g):
         for m in monomials_of_degree(ring, g):
-            if any(m.divisible_by(gen) for gen in self.gens):
+            if any(leq_q(gen, m) for gen in self.gens):
                 yield BasisLabel((), m)
 
     def lower_bounds(self, ring):
-        return SupportDescriptor.of(gen.degree(ring) for gen in self.gens)
+        return SupportDescriptor.of(ring.degree(gen) for gen in self.gens)
 
     def multiply_label(self, label, pos):
-        return BasisLabel((), label.monomial.times(pos))
+        return BasisLabel((), label.monomial + unit(pos))
 
     def describe(self, ring):
-        return "ideal(" + ", ".join(g.describe(ring) for g in self.gens) + ")"
+        return "ideal(" + ", ".join(map(ring.describe, self.gens)) + ")"
 
     def to_json(self):
-        return {"node": "ideal", "gens": [[[p, e] for p, e in g.exps] for g in self.gens]}
+        return {"node": "ideal", "gens": [g.to_json() for g in self.gens]}
 
 
 @dataclass(frozen=True)
@@ -459,13 +408,11 @@ class MonomialQuotient(ModuleExpr):
 
     @staticmethod
     def of(gens: Iterable[Monomial]) -> "MonomialQuotient":
-        ordered = _sorted_gens(gens)
-        _require_reduced(ordered)
-        return MonomialQuotient(ordered)
+        return MonomialQuotient(_reduced_gens(gens))
 
     def _labels(self, ring, g):
         for m in monomials_of_degree(ring, g):
-            if not any(m.divisible_by(gen) for gen in self.gens):
+            if not any(leq_q(gen, m) for gen in self.gens):
                 yield BasisLabel((), m)
 
     def lower_bounds(self, ring):
@@ -477,40 +424,34 @@ class MonomialQuotient(ModuleExpr):
         The label must be a basis element, so no generator divides its
         monomial.  A generator that does not involve x_pos then cannot
         divide the product either, so only the generators involving x_pos
-        are tested.  Each product is computed once per instance.
+        are tested.
         """
-        key = (label.monomial.exps, pos)
-        if key not in self._products:
-            product = label.monomial.times(pos)
-            killed = any(product.divisible_by(gen) for gen in self._gens_by_variable.get(pos, ()))
-            self._products[key] = None if killed else BasisLabel((), product)
-        return self._products[key]
-
-    @cached_property
-    def _products(self) -> dict[tuple, BasisLabel | None]:
-        return {}  # keyed by (label exponents, variable position)
+        product = label.monomial + unit(pos)
+        if any(leq_q(gen, product) for gen in self._gens_by_variable.get(pos, ())):
+            return None
+        return BasisLabel((), product)
 
     @cached_property
     def _gens_by_variable(self) -> dict[int, tuple[Monomial, ...]]:
         """For each variable position, the generators in which it appears."""
         table: dict[int, list[Monomial]] = {}
         for gen in self.gens:
-            for pos, _ in gen.exps:
+            for pos, _ in gen.entries:
                 table.setdefault(pos, []).append(gen)
         return {pos: tuple(gens) for pos, gens in table.items()}
 
     def describe(self, ring):
         if not self.gens:
             return "ring"
-        return "quotient(" + ", ".join(g.describe(ring) for g in self.gens) + ")"
+        return "quotient(" + ", ".join(map(ring.describe, self.gens)) + ")"
 
     def to_json(self):
-        return {"node": "quotient", "gens": [[[p, e] for p, e in g.exps] for g in self.gens]}
+        return {"node": "quotient", "gens": [g.to_json() for g in self.gens]}
 
 
 def variable_quotient(ring: RingSpec, positions: Iterable[int]) -> MonomialQuotient:
     """The quotient by a subset of the variables (e.g. the residue field for all of them)."""
-    return MonomialQuotient.of(Monomial(((pos, 1),)) for pos in positions)
+    return MonomialQuotient.of(unit(pos) for pos in positions)
 
 
 def residue_field(ring: RingSpec) -> MonomialQuotient:
@@ -520,7 +461,7 @@ def residue_field(ring: RingSpec) -> MonomialQuotient:
 @lru_cache(maxsize=None)
 def _graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
     num_vars = len(ring.variables)
-    basis = sorted(module._labels(ring, g), key=lambda l: (l.monomial.key(num_vars), l.path))
+    basis = sorted(module._labels(ring, g), key=lambda l: (l.monomial.total(), l.monomial.dense(num_vars), l.path))
     return GradedPiece(g, tuple(basis))
 
 

@@ -297,7 +297,7 @@ class TestKoszulPiece:
                             (wedge, label)
                             for wedge in itertools.combinations(canonical, n)
                             for label in graded_piece(
-                                module, ring, g - Monomial(tuple((p, 1) for p in wedge)).degree(ring)
+                                module, ring, g - ring.degree(Monomial(tuple((p, 1) for p in wedge)))
                             ).basis
                         ]
                         assert list(basis) == expected, (module, seq, n, g)
@@ -580,7 +580,7 @@ class _NoncommutingQuotient(MonomialQuotient):
     """
 
     def multiply_label(self, label, pos):
-        if pos == 2 and label.monomial.exponent(1):
+        if pos == 2 and label.monomial.coeff(1):
             return None
         return super().multiply_label(label, pos)
 
