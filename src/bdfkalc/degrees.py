@@ -2,8 +2,11 @@
 
 A degree is a finitely supported integer vector indexed by 1, 2, 3, ...
 The nonnegative degrees form the monoid Q, and ``g <= h`` means every
-component of ``h - g`` is nonnegative.  Two finite descriptions of
-regions recur throughout the package:
+component of ``h - g`` is nonnegative.  A :class:`Degree` also serves as
+a monomial's exponent vector, indexed by variable positions: there the
+product by a variable is ``m + unit(pos)`` and divisibility is
+:func:`leq_q`.  Two finite descriptions of regions recur throughout the
+package:
 
 * a :class:`SupportDescriptor` is a finite set of lower bounds, denoting
   the union of the upward cones ``lb + Q``;

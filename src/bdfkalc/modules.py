@@ -2,11 +2,13 @@
 
 A ring is a finite family of variables, each with a nonzero nonnegative
 degree; its graded pieces are enumerated as monomials of a fixed
-multidegree.  Module expressions are built from shifted free modules,
-direct sums, monomial ideals and their quotients.  Every node can list a
-monomial basis of its piece in any degree, say how a variable acts on
-that basis, and produce a finite lower-bound set for its support — which
-is all the homology and series layers need.
+multidegree.  A monomial is a ``Degree`` whose indices are variable
+positions (``Monomial`` names it); the ring turns one into its
+multidegree and its printed form.  Module expressions are built from
+shifted free modules, direct sums, monomial ideals and their quotients.
+Every node can list a monomial basis of its piece in any degree, say how
+a variable acts on that basis, and produce a finite lower-bound set for
+its support — which is all the homology and series layers need.
 """
 
 from __future__ import annotations
