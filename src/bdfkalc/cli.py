@@ -231,6 +231,8 @@ def parse_spec(
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError([(f"line {exc.lineno} column {exc.colno}", exc.msg)]) from exc
+    except RecursionError as exc:
+        raise SpecError([("$", "job spec is nested too deeply to parse")]) from exc
     if not isinstance(data, dict):
         raise SpecError([("$", "job spec must be a JSON object")])
 
@@ -303,7 +305,7 @@ def parse_spec(
         ):
             errors.append(("sequence", "sequence must list valid 1-based variable positions"))
         else:
-            sequence = tuple(sorted(set(raw)))
+            sequence = tuple(raw)
 
     target_degree = None
     if "degree" in data:
@@ -334,34 +336,6 @@ def parse_spec(
         output=output,
         characteristic=characteristic,
     )
-
-
-def serialize_spec(job: JobSpec) -> str:
-    """Canonical JSON for a job; parsing it back yields the same job."""
-    payload: dict = {
-        "command": job.command,
-        "ring": {
-            "variables": [
-                {"id": v.name, "degree": v.degree.to_json()} for v in job.ring.variables
-            ]
-        },
-        "window": [u.to_json() for u in job.window.ceiling],
-    }
-    if job.module is not None:
-        payload["module"] = job.module.to_json()
-    if job.module2 is not None:
-        payload["module2"] = job.module2.to_json()
-    if job.series_terms is not None:
-        from .degrees import grlex_sorted
-
-        payload["series"] = [
-            [g.to_json(), job.series_terms[g]] for g in grlex_sorted(job.series_terms)
-        ]
-    if job.sequence is not None:
-        payload["sequence"] = list(job.sequence)
-    if job.degree is not None:
-        payload["degree"] = job.degree.to_json()
-    return _dump_json(payload)
 
 
 def _dump_json(payload: dict) -> str:
@@ -529,7 +503,7 @@ def main(argv=None) -> int:
         else:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _emit_error("io", str(exc))
         return EXIT_PARSE
     try:

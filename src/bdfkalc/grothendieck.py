@@ -51,11 +51,6 @@ class KClass:
         common = self.window.intersect(other.window)
         return eq_on_window(self.series, other.series, common)
 
-    def to_json(self) -> dict:
-        payload = self.series.to_json()
-        payload["provenance"] = self.provenance
-        return payload
-
 
 def class_of(module: ModuleExpr, ring: RingSpec, window: Window) -> KClass:
     """The class of a module: its K-series on the window."""

@@ -194,14 +194,10 @@ def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
     return tuple(grlex_sorted(out))
 
 
-def ring_dimension(ring: RingSpec, g: Degree) -> int:
-    return len(monomials_of_degree(ring, g))
-
-
 @lru_cache(maxsize=None)
 def ring_hilbert(ring: RingSpec) -> QSeries:
     """Hilbert series of the ring: counts monomials in each multidegree."""
-    return QSeries(lambda g: ring_dimension(ring, g), "H(ring)")
+    return QSeries(lambda g: len(monomials_of_degree(ring, g)), "H(ring)")
 
 
 @lru_cache(maxsize=None)
@@ -265,9 +261,6 @@ class ModuleExpr:
     def describe(self, ring: RingSpec) -> str:
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FreeModule(ModuleExpr):
@@ -295,9 +288,6 @@ class FreeModule(ModuleExpr):
             return "0"
         return "free(" + ", ".join(str(h) for h in self.shifts) + ")"
 
-    def to_json(self):
-        return {"node": "free", "shifts": [h.to_json() for h in self.shifts]}
-
 
 RING_MODULE = FreeModule((ZERO,))
 
@@ -324,9 +314,6 @@ class ShiftedModule(ModuleExpr):
 
     def describe(self, ring):
         return f"shift({self.inner.describe(ring)}, {self.by})"
-
-    def to_json(self):
-        return {"node": "shift", "module": self.inner.to_json(), "by": self.by.to_json()}
 
 
 @dataclass(frozen=True)
@@ -357,9 +344,6 @@ class DirectSum(ModuleExpr):
 
     def describe(self, ring):
         return "sum(" + ", ".join(p.describe(ring) for p in self.parts) + ")"
-
-    def to_json(self):
-        return {"node": "sum", "parts": [p.to_json() for p in self.parts]}
 
 
 def _reduced_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -397,9 +381,6 @@ class MonomialIdeal(ModuleExpr):
 
     def describe(self, ring):
         return "ideal(" + ", ".join(map(ring.describe, self.gens)) + ")"
-
-    def to_json(self):
-        return {"node": "ideal", "gens": [g.to_json() for g in self.gens]}
 
 
 @dataclass(frozen=True)
@@ -446,9 +427,6 @@ class MonomialQuotient(ModuleExpr):
         if not self.gens:
             return "ring"
         return "quotient(" + ", ".join(map(ring.describe, self.gens)) + ")"
-
-    def to_json(self):
-        return {"node": "quotient", "gens": [g.to_json() for g in self.gens]}
 
 
 def variable_quotient(ring: RingSpec, positions: Iterable[int]) -> MonomialQuotient:

@@ -277,14 +277,12 @@ def truncate(q: QSeries, window: Window) -> LaurentSeries:
 def eq_on_window(a: LaurentSeries, b: LaurentSeries, window: Window) -> bool:
     """Coefficientwise agreement over the window region.
 
-    The window must sit inside both valid regions; degrees outside either
-    support contribute zero on both sides and are skipped implicitly.
+    The window must sit inside both valid regions.  Zero coefficients are
+    never stored, so the series agree there exactly when their stored terms
+    inside the window are the same.
     """
     for side in (a, b):
         if not side.window.covers(window):
             raise WindowError("comparison window exceeds a valid region")
-    probe = a.support.union(b.support)
-    for g in candidate_degrees(probe, window):
-        if a.coeff(g) != b.coeff(g):
-            return False
-    return True
+    a_inside, b_inside = ({g: c for g, c in side.terms if window.contains(g)} for side in (a, b))
+    return a_inside == b_inside

@@ -19,7 +19,6 @@ from bdfkalc.cli import (
     EXIT_WINDOW,
     SpecError,
     parse_spec,
-    serialize_spec,
 )
 from bdfkalc.homology import (
     ChainComplexError,
@@ -79,12 +78,6 @@ class TestParseSpec:
             parse_spec(json.dumps(bad), command="kseries")
         assert {where for where, _ in info.value.errors} >= {"ring.columns", "window"}
 
-    def test_serialize_round_trip_is_idempotent(self):
-        job = parse_spec(json.dumps(MINIMAL), command="betti")
-        once = serialize_spec(job)
-        again = serialize_spec(parse_spec(once))
-        assert once == again
-
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
@@ -104,6 +97,22 @@ class TestExitCodes:
         result = run_cli("--command", "hilbert", spec=bad, tmp_path=tmp_path)
         assert result.returncode == EXIT_VALIDATION
         assert json.loads(result.stderr)["error"]["kind"] == "validation"
+
+    def test_undecodable_job_file_is_an_io_error(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_bytes(b'{"ring": \xff}')
+        result = run_cli("--spec", str(path), "--command", "hilbert")
+        assert result.returncode == EXIT_PARSE
+        assert json.loads(result.stderr)["error"]["kind"] == "io"
+
+    def test_nesting_too_deep_for_the_json_reader_is_a_parse_error(self, tmp_path):
+        depth = 100_000
+        module = '{"node": "shift", "by": [], "module": ' * depth + '{"node": "free", "shifts": [[]]}' + "}" * depth
+        path = tmp_path / "job.json"
+        path.write_text('{"ring": {"columns": [1]}, "window": [[[1, 1]]], "module": ' + module + "}")
+        result = run_cli("--spec", str(path), "--command", "hilbert")
+        assert result.returncode == EXIT_PARSE
+        assert json.loads(result.stderr)["error"]["kind"] == "parse"
 
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])

@@ -226,9 +226,9 @@ class TestKClassEquality:
         assert a == b
 
     def test_json_carries_provenance(self):
-        payload = class_of(XY, KXY, W33).to_json()
-        assert payload["provenance"] == "quotient(x1*x2)"
-        assert payload["coeffs"][0] == [[], 1]
+        cls = class_of(XY, KXY, W33)
+        assert cls.provenance == "quotient(x1*x2)"
+        assert cls.series.to_json()["coeffs"][0] == [[], 1]
 
 
 K3 = RingSpec.standard(3)

@@ -289,6 +289,14 @@ class TestEqOnWindow:
         with pytest.raises(WindowError):
             eq_on_window(a, a, W33)
 
+    def test_terms_outside_the_comparison_window_are_ignored(self):
+        # KClass equality compares on the common window of two classes
+        a = poly({ZERO: 1, degree(1, 1): 2})
+        b = poly({ZERO: 1, degree(1, 1): 2, degree(3, 3): 5})
+        small = Window.of([degree(2, 2)])
+        assert eq_on_window(a, b, small)
+        assert not eq_on_window(a, b, W33)
+
     def test_two_truncations_agree(self):
         q = invert(QSeries.from_terms({ZERO: 1, degree(1, 1): -1}))
         small = Window.of([degree(2, 2)])
