@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.spec == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 text = handle.read()

@@ -104,10 +104,15 @@ class TestExitCodes:
         result = run_cli("--spec", str(path), "--command", "hilbert")
         assert result.returncode == EXIT_PARSE
         assert json.loads(result.stderr)["error"]["kind"] == "io"
+        argv = [sys.executable, "-m", "bdfkalc", "--spec", "-", "--command", "hilbert"]
+        piped = subprocess.run(argv, input=path.read_bytes(), capture_output=True)
+        assert piped.returncode == EXIT_PARSE
+        assert json.loads(piped.stderr)["error"]["kind"] == "io"
 
     def test_nesting_too_deep_for_the_json_reader_is_a_parse_error(self, tmp_path):
         depth = 100_000
-        module = '{"node": "shift", "by": [], "module": ' * depth + '{"node": "free", "shifts": [[]]}' + "}" * depth
+        shift = '{"node": "shift", "by": [], "module": '
+        module = shift * depth + '{"node": "free", "shifts": [[]]}' + "}" * depth
         path = tmp_path / "job.json"
         path.write_text('{"ring": {"columns": [1]}, "window": [[[1, 1]]], "module": ' + module + "}")
         result = run_cli("--spec", str(path), "--command", "hilbert")
