@@ -643,6 +643,19 @@ def _complexes_with_windows():
     yield ZeroDifferentialComplex((RING_MODULE, XY, RING_MODULE), KXY), W33
 
 
+def test_the_piece_past_the_index_bound_is_zero_on_every_complex_class():
+    """``index_bound`` promises that the piece at bound + 1 vanishes; the engine relies on it."""
+    complexes = list(_complexes_with_windows())
+    for ring, module, window in TestKoszulDifferentialOracle().cases():
+        complexes.append((KoszulTensorComplex.of(module, ring, ()), window))
+    classes = set()
+    for complex_, window in complexes:
+        for g in candidate_degrees(complex_.support, window):
+            assert complex_.piece_dim(complex_.index_bound(g) + 1, g) == 0, (complex_, g)
+        classes.add(type(complex_))
+    assert classes == {KoszulTensorComplex, AugmentedKoszulComplex, ZeroDifferentialComplex}
+
+
 class TestSparseRows:
     """Every differential reaches the engine as canonical sparse rows, and no dense matrix is built."""
 
