@@ -10,11 +10,9 @@ record to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .degrees import Degree, Window, WindowError
 from .grothendieck import (
@@ -49,6 +47,7 @@ from .modules import (
     require_valid,
 )
 from .series import NotInvertibleError, QSeries, invert, truncate
+from .values import Record
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -76,18 +75,18 @@ class SpecError(Exception):
         super().__init__("; ".join(f"{where}: {message}" for where, message in errors))
 
 
-@dataclass
-class JobSpec:
-    command: str
-    ring: RingSpec
-    window: Window
-    module: ModuleExpr | None = None
-    module2: ModuleExpr | None = None
-    series_terms: dict[Degree, int] | None = None
-    sequence: tuple[int, ...] | None = None
-    degree: Degree | None = None
-    output: str = "json"
-    characteristic: int = 0
+class JobSpec(Record):
+    """One parsed job; unlike the library's values its fields may be reassigned."""
+
+    _fields = ("command", "ring", "window", "module", "module2", "series_terms", "sequence", "degree", "output",
+               "characteristic")
+    __hash__ = None
+
+    def __init__(self, command: str, ring: RingSpec, window: Window, module: ModuleExpr | None = None,
+                 module2: ModuleExpr | None = None, series_terms: dict[Degree, int] | None = None,
+                 sequence: tuple[int, ...] | None = None, degree: Degree | None = None,
+                 output: str = "json", characteristic: int = 0) -> None:
+        self._set(command, ring, window, module, module2, series_terms, sequence, degree, output, characteristic)
 
 
 def _parse_pairs(build, data, what: str, fields: str, where: str, errors: list):
@@ -358,6 +357,8 @@ def _render(
     if output == "json":
         return _dump_json(payload)
     if output == "csv":
+        import csv  # only csv output needs it; leave it out of every other job's start-up
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(csv_header)

@@ -21,33 +21,41 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+
+from .values import Value
 
 
 class WindowError(Exception):
     """A degree, or a whole region, escaped the window it was promised in."""
 
 
-@dataclass(frozen=True)
-class Degree:
+class Degree(Value):
     """Finitely supported integer vector, stored as (index, coefficient) pairs.
 
     Indices are 1-based and strictly increasing; zero coefficients are
     never stored, so equality of entry tuples is equality of vectors.
     """
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()) -> None:
         previous = 0
-        for index, coeff in self.entries:
+        for index, coeff in entries:
             if index <= previous:
                 raise ValueError(
-                    f"indices must be >= 1 and strictly increasing: index {index} in {self.entries}"
+                    f"indices must be >= 1 and strictly increasing: index {index} in {entries}"
                 )
             if coeff == 0:
                 raise ValueError(f"zero coefficient stored at index {index}")
             previous = index
+        object.__setattr__(self, "entries", entries)
+
+    # its own __eq__ and __hash__: degrees key most of the package's dicts
+    def __eq__(self, other: object) -> bool:
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     @staticmethod
     def of(items: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Degree":
@@ -180,11 +188,13 @@ def enumerate_downset_q(u: Degree) -> list[Degree]:
     return grlex_sorted(found)
 
 
-@dataclass(frozen=True)
-class SupportDescriptor:
+class SupportDescriptor(Value):
     """Finite lower-bound set describing the union of the cones ``lb + Q``."""
 
-    lower_bounds: tuple[Degree, ...] = ()
+    __slots__ = _fields = ("lower_bounds",)
+
+    def __init__(self, lower_bounds: tuple[Degree, ...] = ()) -> None:
+        self._set(lower_bounds)
 
     @staticmethod
     def of(bounds: Iterable[Degree]) -> "SupportDescriptor":
@@ -216,8 +226,7 @@ class SupportDescriptor:
 FULL_Q = SupportDescriptor((ZERO,))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value):
     """Finite ceiling set; the region is every degree below some ceiling element.
 
     Regions are downward closed, so membership of g certifies membership
@@ -225,7 +234,10 @@ class Window:
     included); membership scans all of them.
     """
 
-    ceiling: tuple[Degree, ...] = ()
+    __slots__ = _fields = ("ceiling",)
+
+    def __init__(self, ceiling: tuple[Degree, ...] = ()) -> None:
+        self._set(ceiling)
 
     @staticmethod
     def of(degrees: Iterable[Degree]) -> "Window":

@@ -10,8 +10,6 @@ offers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .degrees import ZERO, Degree, SupportDescriptor, Window, candidate_degrees
 from .homology import _homology_dimensions
 from .modules import (
@@ -25,18 +23,20 @@ from .modules import (
     ring_hilbert_inverse,
 )
 from .series import LaurentSeries, eq_on_window, mul, mul_q
+from .values import Value
 
 
 class UnsupportedResolutionError(ValueError):
     """The left factor has no resolution this artifact can realize."""
 
 
-@dataclass(frozen=True, eq=False)
-class KClass:
+class KClass(Value):
     """A Grothendieck-ring element: a K-series plus a note on its origin."""
 
-    series: LaurentSeries
-    provenance: str = ""
+    __slots__ = _fields = ("series", "provenance")
+
+    def __init__(self, series: LaurentSeries, provenance: str = "") -> None:
+        self._set(series, provenance)
 
     @property
     def window(self) -> Window:

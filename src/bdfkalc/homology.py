@@ -19,7 +19,6 @@ made.  A Koszul piece keeps one module piece per distinct wedge degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable
@@ -43,6 +42,7 @@ from .modules import (
     RingSpec,
     graded_piece,
 )
+from .values import HashedValue, Value
 
 
 class ChainComplexError(ValueError):
@@ -57,8 +57,7 @@ def _canonical_sequence(seq: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(seq)))
 
 
-@dataclass(frozen=True)
-class KoszulPiece:
+class KoszulPiece(Value):
     """Degree-g part of the n-th Koszul term tensored with the module.
 
     ``parts`` pairs each wedge, a strictly increasing tuple of variable
@@ -68,7 +67,10 @@ class KoszulPiece:
     ``combinations`` order, and each wedge's labels in graded-piece order.
     """
 
-    parts: tuple[tuple[tuple[int, ...], GradedPiece], ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[tuple[int, ...], GradedPiece], ...]) -> None:
+        self._set(parts)
 
     @cached_property
     def basis(self) -> tuple[tuple[tuple[int, ...], BasisLabel], ...]:
@@ -194,12 +196,13 @@ def tor_k(
     return dims[i] if 0 <= i < len(dims) else 0
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Value):
     """Graded Betti numbers on a window: entries (index, degree, value)."""
 
-    window: Window
-    entries: tuple[tuple[int, Degree, int], ...]
+    __slots__ = _fields = ("window", "entries")
+
+    def __init__(self, window: Window, entries: tuple[tuple[int, Degree, int], ...]) -> None:
+        self._set(window, entries)
 
     def beta(self, i: int, g: Degree) -> int:
         for index, deg, value in self.entries:
@@ -292,13 +295,13 @@ def minimal_resolution_shape(
     return tuple(shapes)
 
 
-@dataclass(frozen=True)
-class KoszulTensorComplex:
+class KoszulTensorComplex(HashedValue):
     """The Koszul complex of a variable subset, tensored with a module."""
 
-    module: ModuleExpr
-    ring: RingSpec
-    sequence: tuple[int, ...]
+    __slots__ = _fields = ("module", "ring", "sequence")
+
+    def __init__(self, module: ModuleExpr, ring: RingSpec, sequence: tuple[int, ...]) -> None:
+        self._set(module, ring, sequence)
 
     @staticmethod
     def of(module: ModuleExpr, ring: RingSpec, seq: Iterable[int] | None = None):
@@ -319,12 +322,13 @@ class KoszulTensorComplex:
         return koszul_differential(self.module, self.ring, self.sequence, n, g)
 
 
-@dataclass(frozen=True)
-class ZeroDifferentialComplex:
+class ZeroDifferentialComplex(HashedValue):
     """A complex whose differentials all vanish: homology equals the terms."""
 
-    modules: tuple[ModuleExpr, ...]
-    ring: RingSpec
+    __slots__ = _fields = ("modules", "ring")
+
+    def __init__(self, modules: tuple[ModuleExpr, ...], ring: RingSpec) -> None:
+        self._set(modules, ring)
 
     @property
     def support(self) -> SupportDescriptor:
@@ -345,8 +349,7 @@ class ZeroDifferentialComplex:
         return [[] for _ in range(self.piece_dim(n - 1, g))]
 
 
-@dataclass(frozen=True)
-class AugmentedKoszulComplex:
+class AugmentedKoszulComplex(HashedValue):
     """Full-variable Koszul complex of the ring with the residue field appended.
 
     The term at index 0 is the quotient by all variables, index n >= 1
@@ -355,7 +358,10 @@ class AugmentedKoszulComplex:
     alone, so the augmentation is the map 1 -> 1 there and empty elsewhere.
     """
 
-    ring: RingSpec
+    __slots__ = _fields = ("ring",)
+
+    def __init__(self, ring: RingSpec) -> None:
+        self._set(ring)
 
     @property
     def support(self) -> SupportDescriptor:
@@ -382,12 +388,13 @@ def _complex_snapshot(complex_, g: Degree, characteristic: int) -> tuple[list[in
     nonzero composite.
     """
     bound = complex_.index_bound(g)
-    dims = [complex_.piece_dim(n, g) for n in range(bound + 2)]
-    ranks = [0] * (bound + 3)
+    # the bound promises that the piece at bound + 1 is zero, so it is not built
+    dims = [complex_.piece_dim(n, g) for n in range(bound + 1)] + [0]
+    ranks = [0] * (bound + 2)
     # one differential's rows are held for the next index's chain check;
     # a map out of or into a zero piece is empty and is never built
     previous = None
-    for n in range(1, bound + 2):
+    for n in range(1, bound + 1):
         if not (dims[n - 1] and dims[n]):
             previous = None
             continue

@@ -13,7 +13,6 @@ its support — which is all the homology and series layers need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -30,16 +29,17 @@ from .degrees import (
     unit,
 )
 from .series import LaurentSeries, QSeries, mul_q
+from .values import HashedValue, Value
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    degree: Degree
+class Variable(Value):
+    __slots__ = _fields = ("name", "degree")
+
+    def __init__(self, name: str, degree: Degree) -> None:
+        self._set(name, degree)
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(HashedValue):
     """A polynomial ring given by its homogeneous variables.
 
     Variables are addressed by 1-based position in this tuple; the order
@@ -47,7 +47,10 @@ class RingSpec:
     downstream.
     """
 
-    variables: tuple[Variable, ...]
+    _fields = ("variables",)
+
+    def __init__(self, variables: tuple[Variable, ...]) -> None:
+        self._set(variables)
 
     @staticmethod
     def of(pairs: Iterable[tuple[str, Degree]]) -> "RingSpec":
@@ -99,11 +102,13 @@ class RingSpec:
         return {}
 
 
-@dataclass(frozen=True)
-class RingReport:
+class RingReport(Value):
     """Validation outcome; each problem names the offending variable."""
 
-    problems: tuple[str, ...] = ()
+    __slots__ = _fields = ("problems",)
+
+    def __init__(self, problems: tuple[str, ...] = ()) -> None:
+        self._set(problems)
 
     @property
     def ok(self) -> bool:
@@ -211,18 +216,30 @@ def ring_hilbert_inverse(ring: RingSpec) -> QSeries:
     return QSeries.from_terms(terms, "(H(ring))^-1")
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(Value):
     """Basis element of a graded piece: a monomial tagged by its summand path."""
 
-    path: tuple[int, ...]
-    monomial: Monomial
+    __slots__ = _fields = ("path", "monomial")
+
+    def __init__(self, path: tuple[int, ...], monomial: Monomial) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "monomial", monomial)
+
+    # its own __eq__ and __hash__: labels key the index of every product lookup
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.path == other.path and self.monomial == other.monomial
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.monomial))
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    degree: Degree
-    basis: tuple[BasisLabel, ...]
+class GradedPiece(Value):
+    _fields = ("degree", "basis")
+
+    def __init__(self, degree: Degree, basis: tuple[BasisLabel, ...]) -> None:
+        self._set(degree, basis)
 
     @property
     def dimension(self) -> int:
@@ -246,7 +263,7 @@ class GradedPiece:
         return {}
 
 
-class ModuleExpr:
+class ModuleExpr(HashedValue):
     """Constructive graded module; subclasses enumerate bases degreewise."""
 
     def _labels(self, ring: RingSpec, g: Degree) -> Iterator[BasisLabel]:
@@ -262,11 +279,13 @@ class ModuleExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FreeModule(ModuleExpr):
     """Direct sum of ring copies shifted by the given degrees (with multiplicity)."""
 
-    shifts: tuple[Degree, ...] = ()
+    _fields = ("shifts",)
+
+    def __init__(self, shifts: tuple[Degree, ...] = ()) -> None:
+        self._set(shifts)
 
     @staticmethod
     def of(shifts: Iterable[Degree]) -> "FreeModule":
@@ -292,7 +311,6 @@ class FreeModule(ModuleExpr):
 RING_MODULE = FreeModule((ZERO,))
 
 
-@dataclass(frozen=True)
 class ShiftedModule(ModuleExpr):
     """The inner module with its grading moved up by ``by``.
 
@@ -300,8 +318,10 @@ class ShiftedModule(ModuleExpr):
     the Hilbert series picks up the factor t^by.
     """
 
-    inner: ModuleExpr
-    by: Degree
+    _fields = ("inner", "by")
+
+    def __init__(self, inner: ModuleExpr, by: Degree) -> None:
+        self._set(inner, by)
 
     def _labels(self, ring, g):
         return self.inner._labels(ring, g - self.by)
@@ -316,9 +336,11 @@ class ShiftedModule(ModuleExpr):
         return f"shift({self.inner.describe(ring)}, {self.by})"
 
 
-@dataclass(frozen=True)
 class DirectSum(ModuleExpr):
-    parts: tuple[ModuleExpr, ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[ModuleExpr, ...]) -> None:
+        self._set(parts)
 
     @staticmethod
     def of(parts: Iterable[ModuleExpr]) -> "DirectSum":
@@ -358,11 +380,13 @@ def _reduced_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(ordered)
 
 
-@dataclass(frozen=True)
 class MonomialIdeal(ModuleExpr):
     """The ideal spanned by the monomials divisible by some generator."""
 
-    gens: tuple[Monomial, ...]
+    _fields = ("gens",)
+
+    def __init__(self, gens: tuple[Monomial, ...]) -> None:
+        self._set(gens)
 
     @staticmethod
     def of(gens: Iterable[Monomial]) -> "MonomialIdeal":
@@ -383,11 +407,13 @@ class MonomialIdeal(ModuleExpr):
         return "ideal(" + ", ".join(map(ring.describe, self.gens)) + ")"
 
 
-@dataclass(frozen=True)
 class MonomialQuotient(ModuleExpr):
     """The ring modulo a monomial ideal: monomials no generator divides."""
 
-    gens: tuple[Monomial, ...]
+    _fields = ("gens",)
+
+    def __init__(self, gens: tuple[Monomial, ...]) -> None:
+        self._set(gens)
 
     @staticmethod
     def of(gens: Iterable[Monomial]) -> "MonomialQuotient":

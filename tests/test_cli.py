@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -118,6 +117,17 @@ class TestExitCodes:
         result = run_cli("--spec", str(path), "--command", "hilbert")
         assert result.returncode == EXIT_PARSE
         assert json.loads(result.stderr)["error"]["kind"] == "parse"
+
+    def test_hundreds_of_nested_shifts_compute_like_the_bare_module(self, tmp_path):
+        # each node's hash is stored at construction, so a cache key hashes one level deep
+        free = {"node": "free", "shifts": [[]]}
+        nested = free
+        for _ in range(500):
+            nested = {"node": "shift", "by": [], "module": nested}
+        bare = run_cli("--command", "hilbert", spec=dict(MINIMAL, module=free), tmp_path=tmp_path)
+        deep = run_cli("--command", "hilbert", spec=dict(MINIMAL, module=nested), tmp_path=tmp_path)
+        assert (deep.returncode, deep.stderr) == (EXIT_OK, "")
+        assert deep.stdout == bare.stdout
 
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])
@@ -436,7 +446,8 @@ class TestSequenceField:
         complex_ = KoszulTensorComplex.of(job.module, job.ring, ())
         profile = homology_profile(complex_, job.window)
         assert json.loads(cli.run_job(job))["homology"] == [[g.to_json(), list(dims)] for g, dims in profile]
-        rows = json.loads(cli.run_job(replace(job, command="euler-check")))["rows"]
+        job = parse_spec(json.dumps(dict(SEQUENCE_JOB, sequence=[])), command="euler-check")
+        rows = json.loads(cli.run_job(job))["rows"]
         assert rows == [[g.to_json(), terms, homology] for g, terms, homology in euler_profile(complex_, job.window)]
 
     @pytest.mark.parametrize("command", ["koszul-verify", "euler-check"])

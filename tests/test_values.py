@@ -3,8 +3,12 @@
 Each class keeps its constructor (positional order, keyword names and
 defaults), equality by class and fields, a hash of the same fields, and
 its field-listing repr; every class but ``JobSpec`` refuses to be changed
-after construction.
+after construction.  None of them needs ``dataclasses`` at start-up.
 """
+
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +159,16 @@ def test_an_ideal_and_a_quotient_on_the_same_generators_are_different_cache_keys
     assert graded_piece(ideal, ring, g).dimension == 1
     assert graded_piece(quotient, ring, g).dimension == 0
     assert modules._graded_piece.cache_info().currsize == 2
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """``import bdfkalc.cli`` adds none of these modules to what a bare interpreter loads."""
+
+    def loaded(code):
+        script = code + "; import json, sys; print(json.dumps(sorted(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        return set(json.loads(result.stdout))
+
+    added = loaded("import bdfkalc.cli") - loaded("pass")
+    assert "bdfkalc.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}), sorted(added)
