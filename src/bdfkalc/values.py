@@ -1,10 +1,10 @@
-"""Base classes for the package's values: a subclass names its fields in ``_fields``
-and sets them in ``__init__`` with ``_set``.  Two instances are equal when they are
-of the same class and their fields are equal; hash and repr read the same fields.
-"""
+"""Base classes for the package's values and its job record."""
 
 
 class Record:
+    """A subclass names its fields in ``_fields`` and sets them in ``__init__`` with ``_set``;
+    equality (same class, equal fields), hash, repr and pickling read those fields."""
+
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
@@ -20,6 +20,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
@@ -39,8 +42,7 @@ class Value(Record):
 
 
 class HashedValue(Value):
-    """A value that keys caches on every call: ``_set`` computes its hash once, from the
-    fields' own hashes, so hashing a deeply nested expression reads one level."""
+    """A cache key on every call: ``_set`` stores its hash, so a parent reads a child's in one step."""
 
     __slots__ = ("_hash",)
 

@@ -6,7 +6,9 @@ its field-listing repr; every class but ``JobSpec`` refuses to be changed
 after construction.  None of them needs ``dataclasses`` at start-up.
 """
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 
@@ -128,6 +130,16 @@ def test_fields_cannot_be_assigned_or_deleted(index):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert value == cls(*values)
+
+
+@pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
+def test_pickle_and_copy_give_an_equal_value(index):
+    cls, _, values, _ = cases()[index]
+    value = cls(*values)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value
+        if cls not in UNHASHABLE:
+            assert hash(twin) == hash(value)
 
 
 def test_defaults():
