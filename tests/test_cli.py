@@ -346,22 +346,80 @@ class TestRejectedPairs:
         assert any(detail["where"].startswith(field) for detail in error["details"])
 
 
+# a command, a job that is valid except for one field, the place of its one error and a word of its rule
+NO_MODULE = {"ring": MINIMAL["ring"], "window": MINIMAL["window"]}
+MALFORMED_FIELDS = [
+    ("euler-check", dict(MINIMAL, module={"node": "mystery"}), "module", "unknown"),
+    ("euler-check", dict(MINIMAL, ring={"columns": [1, -1]}, sequence=[1]), "ring.columns", "nonnegative"),
+    ("serre", dict(MINIMAL, module2={"node": "mystery"}), "module2", "unknown"),
+    ("invert", dict(MINIMAL, series="1 - t"), "series", "list"),
+    # series items
+    ("invert", dict(MINIMAL, series=[[[], 1, 2]]), "series[0]", "pair"),
+    ("invert", dict(MINIMAL, series=[[[], 1.5]]), "series[0]", "integer"),
+    ("invert", dict(MINIMAL, series=[[[], True]]), "series[0]", "integer"),
+    ("invert", dict(MINIMAL, series=[[[[1, -1]], 1]]), "series[0]", "orthant"),
+    ("invert", dict(MINIMAL, series=[[[], 1], [[], 2]]), "series[1]", "duplicate"),
+    # the sequence rule
+    ("koszul-verify", dict(MINIMAL, sequence=[0]), "sequence", "positions"),
+    ("koszul-verify", dict(MINIMAL, sequence=[3]), "sequence", "positions"),
+    ("koszul-verify", dict(MINIMAL, sequence=[True]), "sequence", "positions"),
+    ("koszul-verify", dict(MINIMAL, sequence="1"), "sequence", "positions"),
+    # each command's required field
+    ("hilbert", NO_MODULE, "module", "requires"),
+    ("kseries", NO_MODULE, "module", "requires"),
+    ("betti", NO_MODULE, "module", "requires"),
+    ("euler-check", NO_MODULE, "module", "requires"),
+    ("torsion-dim", dict(NO_MODULE, degree=[]), "module", "requires"),
+    ("torsion-dim", MINIMAL, "degree", "requires"),
+    ("serre", MINIMAL, "module", "requires"),
+    ("serre", dict(NO_MODULE, module2=MINIMAL["module"]), "module", "requires"),
+    ("invert", MINIMAL, "series", "requires"),
+    # the window and the ring
+    ("kseries", {"ring": MINIMAL["ring"], "module": MINIMAL["module"]}, "window", "required"),
+    ("kseries", dict(MINIMAL, window=[]), "window", "nonempty"),
+    ("kseries", dict(MINIMAL, window={"1": 1}), "window", "nonempty"),
+    ("kseries", {"module": MINIMAL["module"], "window": MINIMAL["window"]}, "ring", "required"),
+    ("kseries", dict(MINIMAL, ring=[1, 1]), "ring", "object"),
+    ("kseries", dict(MINIMAL, ring={"columns": [1, 1], "variables": []}), "ring", "exactly"),
+    ("kseries", dict(MINIMAL, ring={}), "ring", "exactly"),
+    ("kseries", dict(MINIMAL, ring={"variables": "xy"}), "ring.variables", "list"),
+    # ring variables
+    ("kseries", dict(MINIMAL, ring={"variables": [{"degree": [[1, 1]]}]}), "ring.variables[0]", "needs"),
+    ("kseries", dict(MINIMAL, ring={"variables": [{"id": "x"}]}), "ring.variables[0]", "needs"),
+    ("kseries", dict(MINIMAL, ring={"variables": ["x"]}), "ring.variables[0]", "needs"),
+    ("kseries", dict(MINIMAL, ring={"variables": [{"id": 1, "degree": [[1, 1]]}]}), "ring.variables[0]", "string"),
+    # module nodes
+    ("kseries", dict(MINIMAL, module=[]), "module", "object"),
+    ("kseries", dict(MINIMAL, module={"node": "free", "shifts": "x"}), "module.shifts", "list"),
+    ("kseries", dict(MINIMAL, module={"node": "free"}), "module.shifts", "list"),
+    ("kseries", dict(MINIMAL, module={"node": "sum", "parts": None}), "module.parts", "list"),
+    ("kseries", dict(MINIMAL, module={"node": "ideal", "gens": {}}), "module.gens", "list"),
+    ("kseries", dict(MINIMAL, module={"node": "quotient"}), "module.gens", "list"),
+    ("kseries", dict(MINIMAL, module={"node": "ideal", "gens": [[[1, 1]], [[1, 1], [2, 1]]]}), "module.gens", "reduced"),
+    (
+        "kseries",
+        dict(MINIMAL, module={"node": "sum", "parts": [{"node": "free", "shifts": [[]]}, {"node": 1}]}),
+        "module.parts[1]",
+        "unknown",
+    ),
+    ("kseries", dict(MINIMAL, module={"node": "shift", "by": [], "module": {}}), "module.module", "object"),
+    ("kseries", dict(MINIMAL, module={"node": "shift", "module": MINIMAL["module"]}), "module.by", "list"),
+]
+
+
 class TestOneErrorPerProblem:
     """A malformed field is reported once, at that field, and nowhere else."""
 
     @pytest.mark.parametrize(
-        "command, spec, field",
-        [
-            ("euler-check", dict(MINIMAL, module={"node": "mystery"}), "module"),
-            ("euler-check", dict(MINIMAL, ring={"columns": [1, -1]}, sequence=[1]), "ring.columns"),
-            ("serre", dict(MINIMAL, module2={"node": "mystery"}), "module2"),
-            ("invert", dict(MINIMAL, series="1 - t"), "series"),
-        ],
+        "command, spec, field, rule",
+        # ids in pytest's own form, without the rule word
+        [pytest.param(*row, id=f"{row[0]}-spec{k}-{row[2]}") for k, row in enumerate(MALFORMED_FIELDS)],
     )
-    def test_exactly_one_error_at_its_field(self, command, spec, field):
+    def test_exactly_one_error_at_its_field(self, command, spec, field, rule):
         with pytest.raises(SpecError) as info:
             parse_spec(json.dumps(spec), command=command)
         assert [where for where, _ in info.value.errors] == [field], info.value.errors
+        assert rule in info.value.errors[0][1], info.value.errors
 
 
 def stdout_of(spec: dict, command: str) -> str:
