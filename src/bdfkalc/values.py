@@ -52,3 +52,22 @@ class HashedValue(Value):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        # field pairs on an explicit stack, so equal trees of any depth compare without recursion
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, HashedValue):
+                if a.__class__ is not b.__class__ or a._hash != b._hash:
+                    return False
+                stack.extend(zip(a._values(), b._values()))
+            elif a.__class__ is tuple and b.__class__ is tuple and len(a) == len(b):
+                stack.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True

@@ -119,7 +119,8 @@ class TestExitCodes:
         assert json.loads(result.stderr)["error"]["kind"] == "parse"
 
     def test_hundreds_of_nested_shifts_compute_like_the_bare_module(self, tmp_path):
-        # each node's hash is stored at construction, so a cache key hashes one level deep
+        # each node's hash is stored at construction, so a cache key hashes one level deep,
+        # and two equal but distinct trees compare without recursion
         free = {"node": "free", "shifts": [[]]}
         nested = free
         for _ in range(500):
@@ -128,6 +129,12 @@ class TestExitCodes:
         deep = run_cli("--command", "hilbert", spec=dict(MINIMAL, module=nested), tmp_path=tmp_path)
         assert (deep.returncode, deep.stderr) == (EXIT_OK, "")
         assert deep.stdout == bare.stdout
+        bare = run_cli("--command", "serre", spec=dict(MINIMAL, module=free, module2=free), tmp_path=tmp_path)
+        deep = run_cli("--command", "serre", spec=dict(MINIMAL, module=nested, module2=nested), tmp_path=tmp_path)
+        assert (deep.returncode, deep.stderr) == (EXIT_OK, "")
+        deep, bare = json.loads(deep.stdout), json.loads(bare.stdout)
+        assert deep["coeffs"] == bare["coeffs"]
+        assert deep["matches_tensor_product"] is bare["matches_tensor_product"] is True
 
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])

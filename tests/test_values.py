@@ -173,6 +173,17 @@ def test_an_ideal_and_a_quotient_on_the_same_generators_are_different_cache_keys
     assert modules._graded_piece.cache_info().currsize == 2
 
 
+def test_equal_trees_of_any_depth_compare_without_recursion():
+    def tree(depth, leaf):
+        module = FreeModule((leaf,))
+        for k in range(depth):
+            module = ShiftedModule(module, ZERO) if k % 2 else DirectSum((module,))
+        return module
+
+    assert tree(5000, ZERO) == tree(5000, ZERO)
+    assert tree(5000, ZERO) != tree(5000, Degree.of({1: 1}))
+
+
 def test_importing_the_cli_loads_no_dataclass_machinery():
     """``import bdfkalc.cli`` adds none of these modules to what a bare interpreter loads."""
 
