@@ -68,7 +68,7 @@ COMMANDS = (
 
 
 class SpecError(Exception):
-    """Parse failure; carries every positioned problem found."""
+    """Parse failure; carries one positioned problem for each malformed field."""
 
     def __init__(self, errors: list[tuple[str, str]]):
         self.errors = errors
@@ -89,129 +89,126 @@ class JobSpec(Record):
         self._set(command, ring, window, module, module2, series_terms, sequence, degree, output, characteristic)
 
 
-def _parse_pairs(build, data, what: str, fields: str, where: str, errors: list):
-    """``build`` applied to a list of [int, int] pairs, or None with a positioned error.
+class _Broken(Exception):
+    """The first rule a job field breaks, as ``(where, message)``."""
+
+
+def _each(data, where: str, message: str, parse, *args) -> list:
+    """``parse(item, where[k], *args)`` for each item of ``data``, which must be a list (else ``message``)."""
+    if not isinstance(data, list):
+        raise _Broken(where, message)
+    items = []
+    for k, item in enumerate(data):  # a loop, not a comprehension: one frame fewer per level of nesting
+        items.append(parse(item, f"{where}[{k}]", *args))
+    return items
+
+
+def _pair(data, where: str, fields: str) -> tuple[int, int]:
+    if not isinstance(data, list) or len(data) != 2 or any(type(x) is not int for x in data):
+        raise _Broken(where, f"expected a [{fields}] pair of integers")
+    return tuple(data)
+
+
+def _parse_pairs(build, data, where: str, what: str, fields: str):
+    """``build`` applied to a list of [int, int] pairs.
 
     Only the shape is checked here; the pairs' own rules (index order, sign)
     are checked by ``build``, whose ValueError is reported at ``where``.
     """
-    if not isinstance(data, list):
-        errors.append((where, f"{what} must be a list of [{fields}] pairs"))
-        return None
-    for k, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2 or any(type(x) is not int for x in pair):
-            errors.append((f"{where}[{k}]", f"expected a [{fields}] pair of integers"))
-            return None
+    pairs = _each(data, where, f"{what} must be a list of [{fields}] pairs", _pair, fields)
     try:
-        return build(tuple(map(tuple, data)))
+        return build(tuple(pairs))
     except ValueError as exc:
-        errors.append((where, str(exc)))
-        return None
+        raise _Broken(where, str(exc)) from exc
 
 
-def _parse_degree(data, where: str, errors: list) -> Degree | None:
-    return _parse_pairs(Degree, data, "degree", "index, coefficient", where, errors)
+def _parse_degree(data, where: str) -> Degree:
+    return _parse_pairs(Degree, data, where, "degree", "index, coefficient")
 
 
-def _parse_exponents(data, num_vars: int, where: str, errors: list) -> Monomial | None:
-    gen = _parse_pairs(monomial, data, "generator", "position, exponent", where, errors)
-    top = gen.max_index() if gen is not None else 0
-    if top > num_vars:
-        errors.append((where, f"position {top} exceeds the {num_vars} ring variables"))
-        return None
+def _parse_exponents(data, where: str, num_vars: int) -> Monomial:
+    gen = _parse_pairs(monomial, data, where, "generator", "position, exponent")
+    if gen.max_index() > num_vars:
+        raise _Broken(where, f"position {gen.max_index()} exceeds the {num_vars} ring variables")
     return gen
 
 
-def _parse_ring(data, where: str, errors: list) -> RingSpec | None:
+def _parse_window(data, where: str) -> Window:
+    message = "a nonempty list of ceiling degrees is required"
+    if not data:
+        raise _Broken(where, message)
+    return Window.of(_each(data, where, message, _parse_degree))
+
+
+def _parse_variable(data, where: str) -> tuple[str, Degree]:
+    if not isinstance(data, dict) or "id" not in data or "degree" not in data:
+        raise _Broken(where, "variable needs 'id' and 'degree'")
+    if not isinstance(data["id"], str):
+        raise _Broken(where, "variable id must be a string")
+    return data["id"], _parse_degree(data["degree"], f"{where}.degree")
+
+
+def _parse_ring(data, where: str) -> RingSpec:
     if not isinstance(data, dict):
-        errors.append((where, "ring must be an object"))
-        return None
+        raise _Broken(where, "ring must be an object")
     if ("columns" in data) == ("variables" in data):
-        errors.append((where, "ring needs exactly one of 'columns' or 'variables'"))
-        return None
-    if "columns" in data:
-        columns = data["columns"]
-        if not isinstance(columns, list) or any(
-            isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in columns
-        ):
-            errors.append((f"{where}.columns", "column sizes must be nonnegative integers"))
-            return None
-        return RingSpec.matrix_ring(columns)
-    variables = data["variables"]
-    if not isinstance(variables, list):
-        errors.append((f"{where}.variables", "must be a list"))
-        return None
-    pairs = []
-    for k, item in enumerate(variables):
-        spot = f"{where}.variables[{k}]"
-        if not isinstance(item, dict) or "id" not in item or "degree" not in item:
-            errors.append((spot, "variable needs 'id' and 'degree'"))
-            return None
-        if not isinstance(item["id"], str):
-            errors.append((spot, "variable id must be a string"))
-            return None
-        deg = _parse_degree(item["degree"], f"{spot}.degree", errors)
-        if deg is None:
-            return None
-        pairs.append((item["id"], deg))
-    return RingSpec.of(pairs)
+        raise _Broken(where, "ring needs exactly one of 'columns' or 'variables'")
+    if "variables" in data:
+        return RingSpec.of(_each(data["variables"], f"{where}.variables", "must be a list", _parse_variable))
+    columns = data["columns"]
+    if not isinstance(columns, list) or any(isinstance(c, bool) or not isinstance(c, int) or c < 0 for c in columns):
+        raise _Broken(f"{where}.columns", "column sizes must be nonnegative integers")
+    return RingSpec.matrix_ring(columns)
 
 
-def _parse_module(data, ring: RingSpec, where: str, errors: list) -> ModuleExpr | None:
+def _parse_module(data, where: str, ring: RingSpec) -> ModuleExpr:
     if not isinstance(data, dict) or "node" not in data:
-        errors.append((where, "module must be an object with a 'node' tag"))
-        return None
+        raise _Broken(where, "module must be an object with a 'node' tag")
     tag = data["node"]
-    num_vars = len(ring.variables)
     if tag == "free":
-        shifts = []
-        raw = data.get("shifts")
-        if not isinstance(raw, list):
-            errors.append((f"{where}.shifts", "free module needs a list of shift degrees"))
-            return None
-        for k, item in enumerate(raw):
-            deg = _parse_degree(item, f"{where}.shifts[{k}]", errors)
-            if deg is None:
-                return None
-            shifts.append(deg)
-        return FreeModule.of(shifts)
+        message = "free module needs a list of shift degrees"
+        return FreeModule.of(_each(data.get("shifts"), f"{where}.shifts", message, _parse_degree))
     if tag == "shift":
-        inner = _parse_module(data.get("module"), ring, f"{where}.module", errors)
-        by = _parse_degree(data.get("by"), f"{where}.by", errors)
-        if inner is None or by is None:
-            return None
-        return ShiftedModule(inner, by)
+        return ShiftedModule(_parse_module(data.get("module"), f"{where}.module", ring),
+                             _parse_degree(data.get("by"), f"{where}.by"))
     if tag == "sum":
-        raw = data.get("parts")
-        if not isinstance(raw, list):
-            errors.append((f"{where}.parts", "sum needs a list of parts"))
-            return None
-        parts = []
-        for k, item in enumerate(raw):
-            part = _parse_module(item, ring, f"{where}.parts[{k}]", errors)
-            if part is None:
-                return None
-            parts.append(part)
+        parts = _each(data.get("parts"), f"{where}.parts", "sum needs a list of parts", _parse_module, ring)
         return DirectSum.of(parts)
     if tag in ("ideal", "quotient"):
-        raw = data.get("gens")
-        if not isinstance(raw, list):
-            errors.append((f"{where}.gens", f"{tag} needs a list of generators"))
-            return None
-        gens = []
-        for k, item in enumerate(raw):
-            gen = _parse_exponents(item, num_vars, f"{where}.gens[{k}]", errors)
-            if gen is None:
-                return None
-            gens.append(gen)
-        builder = MonomialIdeal.of if tag == "ideal" else MonomialQuotient.of
+        message = f"{tag} needs a list of generators"
+        gens = _each(data.get("gens"), f"{where}.gens", message, _parse_exponents, len(ring.variables))
         try:
-            return builder(gens)
+            return (MonomialIdeal.of if tag == "ideal" else MonomialQuotient.of)(gens)
         except ValueError as exc:
-            errors.append((f"{where}.gens", str(exc)))
-            return None
-    errors.append((where, f"unknown module node tag {tag!r}"))
-    return None
+            raise _Broken(f"{where}.gens", str(exc)) from exc
+    raise _Broken(where, f"unknown module node tag {tag!r}")
+
+
+def _parse_series(data, where: str) -> dict[Degree, int]:
+    terms: dict[Degree, int] = {}
+
+    def term(item, spot: str) -> None:
+        if not isinstance(item, list) or len(item) != 2:
+            raise _Broken(spot, "expected a [degree, coefficient] pair")
+        deg, coeff = _parse_degree(item[0], f"{spot}.degree"), item[1]
+        if isinstance(coeff, bool) or not isinstance(coeff, int):
+            raise _Broken(spot, "coefficient must be an integer")
+        if not deg.is_nonnegative():
+            raise _Broken(spot, "series terms must lie in the nonnegative orthant")
+        if deg in terms:
+            raise _Broken(spot, f"duplicate term at degree {deg}")
+        terms[deg] = coeff
+
+    _each(data, where, "series must be a list of [degree, coefficient] pairs", term)
+    return terms
+
+
+def _parse_sequence(data, where: str, num_vars: float) -> tuple[int, ...]:
+    if not isinstance(data, list) or any(
+        isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= num_vars for x in data
+    ):
+        raise _Broken(where, "sequence must list valid 1-based variable positions")
+    return tuple(data)
 
 
 def parse_spec(
@@ -221,11 +218,12 @@ def parse_spec(
     characteristic: int = 0,
     threads: int | None = None,
 ) -> JobSpec:
-    """Parse and fully validate a job file; raises SpecError listing every problem.
+    """Parse and fully validate a job file.
 
-    ``threads`` is accepted for compatibility and ignored: every job runs on one thread.
+    Raises SpecError with one error for each malformed field, at the first
+    rule that field breaks.  ``threads`` is accepted for compatibility and
+    ignored: every job runs on one thread.
     """
-    errors: list[tuple[str, str]] = []
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -235,80 +233,33 @@ def parse_spec(
     if not isinstance(data, dict):
         raise SpecError([("$", "job spec must be a JSON object")])
 
+    errors: list[tuple[str, str]] = []
+    fields: dict = {}
+
+    def read(name: str, parse, *args) -> None:
+        try:
+            fields[name] = parse(data.get(name), name, *args)
+        except _Broken as exc:
+            errors.append(exc.args)
+
     chosen = command or data.get("command")
     if chosen not in COMMANDS:
         errors.append(("command", f"unknown command {chosen!r}; choose from {', '.join(COMMANDS)}"))
-
-    window = None
-    raw_window = data.get("window")
-    if not isinstance(raw_window, list) or not raw_window:
-        errors.append(("window", "a nonempty list of ceiling degrees is required"))
+    read("window", _parse_window)
+    if "ring" in data:
+        read("ring", _parse_ring)
     else:
-        ceiling = []
-        for k, item in enumerate(raw_window):
-            deg = _parse_degree(item, f"window[{k}]", errors)
-            if deg is not None:
-                ceiling.append(deg)
-        if len(ceiling) == len(raw_window):
-            window = Window.of(ceiling)
-
-    ring = None
-    if "ring" not in data:
         errors.append(("ring", "a ring is required"))
-    else:
-        ring = _parse_ring(data["ring"], "ring", errors)
-
-    module = module2 = None
-    if ring is not None and "module" in data:
-        module = _parse_module(data["module"], ring, "module", errors)
-    if ring is not None and "module2" in data:
-        module2 = _parse_module(data["module2"], ring, "module2", errors)
-
-    series_terms = None
+    # a ring that failed to parse has its own error: no module is read, and it bounds no position
+    for name in ("module", "module2"):
+        if name in data and "ring" in fields:
+            read(name, _parse_module, fields["ring"])
     if "series" in data:
-        raw = data["series"]
-        if not isinstance(raw, list):
-            errors.append(("series", "series must be a list of [degree, coefficient] pairs"))
-        else:
-            series_terms = {}
-            for k, item in enumerate(raw):
-                spot = f"series[{k}]"
-                if not isinstance(item, list) or len(item) != 2:
-                    errors.append((spot, "expected a [degree, coefficient] pair"))
-                    continue
-                deg = _parse_degree(item[0], f"{spot}.degree", errors)
-                coeff = item[1]
-                if isinstance(coeff, bool) or not isinstance(coeff, int):
-                    errors.append((spot, "coefficient must be an integer"))
-                    continue
-                if deg is None:
-                    continue
-                if not deg.is_nonnegative():
-                    errors.append((spot, "series terms must lie in the nonnegative orthant"))
-                    continue
-                if deg in series_terms:
-                    errors.append((spot, f"duplicate term at degree {deg}"))
-                    continue
-                series_terms[deg] = coeff
-
-    sequence = None
+        read("series", _parse_series)
     if "sequence" in data:
-        raw = data["sequence"]
-        # a ring that failed to parse has its own error, so it bounds no position
-        if not isinstance(raw, list) or any(
-            isinstance(x, bool)
-            or not isinstance(x, int)
-            or x < 1
-            or (ring is not None and x > len(ring.variables))
-            for x in raw
-        ):
-            errors.append(("sequence", "sequence must list valid 1-based variable positions"))
-        else:
-            sequence = tuple(raw)
-
-    target_degree = None
+        read("sequence", _parse_sequence, len(fields["ring"].variables) if "ring" in fields else float("inf"))
     if "degree" in data:
-        target_degree = _parse_degree(data["degree"], "degree", errors)
+        read("degree", _parse_degree)
 
     # command-specific arity: a field that is present but malformed has its own error
     if chosen in ("hilbert", "kseries", "betti", "torsion-dim", "euler-check") and "module" not in data:
@@ -325,13 +276,13 @@ def parse_spec(
 
     return JobSpec(
         command=chosen,
-        ring=ring,
-        window=window,
-        module=module,
-        module2=module2,
-        series_terms=series_terms,
-        sequence=sequence,
-        degree=target_degree,
+        ring=fields["ring"],
+        window=fields["window"],
+        module=fields.get("module"),
+        module2=fields.get("module2"),
+        series_terms=fields.get("series"),
+        sequence=fields.get("sequence"),
+        degree=fields.get("degree"),
         output=output,
         characteristic=characteristic,
     )

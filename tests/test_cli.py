@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdfkalc import cli
@@ -414,8 +414,33 @@ MALFORMED_FIELDS = [
 ]
 
 
+# a job that parses for kseries and whose fields lean on no other field, and its top-level fields
+FIELD_PROOF_JOB = {"ring": {"columns": [1, 1]}, "module": {"node": "free", "shifts": [[]]}, "window": MINIMAL["window"]}
+JOB_FIELDS = ("window", "ring", "module", "module2", "series", "sequence", "degree")
+JOB_WORDS = st.sampled_from(
+    ["node", "free", "shift", "sum", "ideal", "quotient", "shifts", "by", "module", "parts", "gens", "columns",
+     "variables", "id", "degree"]
+)
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | JOB_WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JOB_WORDS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
 class TestOneErrorPerProblem:
     """A malformed field is reported once, at that field, and nowhere else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(JOB_FIELDS), JUNK)
+    @example("window", [[[1, 0]], [[1, 0]]])
+    @example("series", [[1], [[], True]])
+    @example("module", {"node": "shift", "module": {"node": "mystery"}, "by": "x"})
+    def test_any_one_broken_field_gives_at_most_one_error_there(self, field, junk):
+        try:
+            parse_spec(json.dumps(dict(FIELD_PROOF_JOB, **{field: junk})), command="kseries")
+        except SpecError as exc:
+            assert [where.partition(".")[0].partition("[")[0] for where, _ in exc.errors] == [field], exc.errors
 
     @pytest.mark.parametrize(
         "command, spec, field, rule",
