@@ -8,7 +8,9 @@ instead of recursive monomial enumeration, a per-degree product against
 lazy series instead of a convolution over the finite side, Koszul
 differentials built entry by entry from (positions, BasisLabel) lookups, and
 the Serre product of a free left factor read off the right factor's
-graded pieces instead of its Koszul homology.
+graded pieces instead of its Koszul homology, and the degrees of a
+monomial module's Taylor resolution from every subset of its generators
+instead of a closure pruned by the window.
 """
 
 from __future__ import annotations
@@ -16,7 +18,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from bdfkalc import Degree, SupportDescriptor, Window, candidate_degrees
+from bdfkalc import (
+    Degree,
+    DirectSum,
+    FreeModule,
+    MonomialIdeal,
+    MonomialQuotient,
+    ShiftedModule,
+    SupportDescriptor,
+    Window,
+    candidate_degrees,
+)
 
 
 def convolve(a: dict, b: dict) -> dict:
@@ -190,3 +202,31 @@ def random_series(rng, window: Window, coords: int, max_terms: int = 3):
             value = rng.choice([-3, -2, -1, 1, 2, 3])
             coeffs[rng.choice(spots)] = value
     return LaurentSeries(window, support, coeffs)
+
+
+def taylor_terms(module, ring) -> set[tuple[int, Degree]]:
+    """Every (index, degree) at which the module's Taylor resolution has a term.
+
+    A free module sits at index 0 at its shifts, a shift moves the degrees,
+    a sum takes the union, R/I has a term at (|S|, deg lcm S) for every
+    subset S of the generators, the empty one included, and I at
+    (|S| - 1, deg lcm S) for S nonempty.  Every subset is listed with
+    ``combinations``, so this is for ideals with a handful of generators.
+    """
+    if isinstance(module, FreeModule):
+        return {(0, h) for h in module.shifts}
+    if isinstance(module, ShiftedModule):
+        return {(i, g + module.by) for i, g in taylor_terms(module.inner, ring)}
+    if isinstance(module, DirectSum):
+        return set().union(*(taylor_terms(part, ring) for part in module.parts))
+    drop = 0 if isinstance(module, MonomialQuotient) else 1
+    assert isinstance(module, (MonomialQuotient, MonomialIdeal)), module
+    terms = set()
+    for size in range(drop, len(module.gens) + 1):
+        for subset in itertools.combinations(module.gens, size):
+            top: dict[int, int] = {}
+            for gen in subset:
+                for pos, e in gen.entries:
+                    top[pos] = max(top.get(pos, 0), e)
+            terms.add((size - drop, ring.degree(Degree.of(top))))
+    return terms

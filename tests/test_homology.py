@@ -13,6 +13,7 @@ from bdfkalc import (
     ZERO,
     AugmentedKoszulComplex,
     ChainComplexError,
+    Degree,
     DirectSum,
     FreeModule,
     KoszulTensorComplex,
@@ -37,6 +38,7 @@ from bdfkalc import (
     koszul_differential,
     koszul_index_bound,
     koszul_piece,
+    leq_q,
     minimal_resolution_shape,
     residue_field,
     series_from_terms,
@@ -60,7 +62,7 @@ from bdfkalc.linalg import (
     rank_mod_p,
     sparse_rows,
 )
-from oracles import dense, dense_rank_mod_p, fraction_rank, koszul_differential_by_labels
+from oracles import dense, dense_rank_mod_p, fraction_rank, koszul_differential_by_labels, taylor_terms
 
 KXY = RingSpec.standard(2)
 W33 = Window.of([degree(3, 3)])
@@ -507,6 +509,76 @@ class TestCharacteristicDependence:
         window = Window.of([RP2_TOP])
         assert torsion_dimension(RP2, RP2_RING, RP2_TOP, window, characteristic=2) == 4
         assert torsion_dimension(RP2, RP2_RING, RP2_TOP, window, characteristic=0) == 3
+
+
+# (ring, number of grading components): unit degrees, and two variables sharing a degree
+TREE_RINGS = [(RingSpec.standard(2), 2), (RingSpec.standard(3), 3), (RingSpec.matrix_ring([2, 1]), 2)]
+
+
+def _minimal(monomials):
+    """The monomials that no other one divides: generators ``MonomialIdeal.of`` accepts."""
+    distinct = set(monomials)
+    return [m for m in distinct if not any(o != m and leq_q(o, m) for o in distinct)]
+
+
+@st.composite
+def module_trees(draw, ring, width, depth=2):
+    """Free modules (negative shifts too), shifts, sums, ideals and quotients, at most 4 generators each."""
+    degrees = st.lists(st.integers(-1, 1), min_size=width, max_size=width).map(lambda c: degree(*c))
+    kinds = ["free", "ideal", "quotient", "quotient"] + (["shift", "sum"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "free":
+        return FreeModule.of(draw(st.lists(degrees, min_size=1, max_size=2)))
+    if kind == "shift":
+        return ShiftedModule(draw(module_trees(ring, width, depth - 1)), draw(degrees))
+    if kind == "sum":
+        return DirectSum.of(draw(st.lists(module_trees(ring, width, depth - 1), min_size=1, max_size=2)))
+    positions = st.integers(1, len(ring.variables))
+    exponents = st.lists(st.tuples(positions, st.integers(1, 2)), min_size=1, max_size=2)
+    gens = _minimal(Degree.of(pairs) for pairs in draw(st.lists(exponents, min_size=1, max_size=4)))
+    return (MonomialIdeal.of if kind == "ideal" else MonomialQuotient.of)(gens)
+
+
+@st.composite
+def trees_with_windows(draw):
+    ring, width = draw(st.sampled_from(TREE_RINGS))
+    ceiling = st.lists(st.integers(0, 3), min_size=width, max_size=width).map(lambda c: degree(*c))
+    window = Window.of(draw(st.lists(ceiling, min_size=1, max_size=2)))
+    return ring, draw(module_trees(ring, width)), window
+
+
+def _full_route(module, ring, window, p):
+    """Nonzero (index, degree, value) of the whole Koszul complex in every window degree."""
+    profile = homology_profile(KoszulTensorComplex.of(module, ring), window, p)
+    return [(i, g, h) for g, dims in profile for i, h in enumerate(dims) if h]
+
+
+class TestTaylorSupport:
+    """Betti numbers sit where the Taylor resolution has a term, and the table is the full route's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trees_with_windows(), st.sampled_from([0, 2, 32003]))
+    def test_betti_table_is_the_full_koszul_route(self, case, p):
+        ring, module, window = case
+        expected = sorted(_full_route(module, ring, window, p), key=lambda entry: entry[0])
+        assert list(betti_table(module, ring, window, p).entries) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees_with_windows())
+    def test_nonzero_betti_numbers_lie_on_taylor_terms(self, case):
+        ring, module, window = case
+        terms = taylor_terms(module, ring)
+        for i, g, _ in _full_route(module, ring, window, 0):
+            assert (i, g) in terms, (module, i, g)
+
+    def test_rp2_in_characteristics_zero_and_two(self):
+        terms = taylor_terms(RP2, RP2_RING)
+        for p in (0, 2):
+            found = _full_route(RP2, RP2_RING, Window.of([RP2_TOP]), p)
+            assert found and all((i, g) in terms for i, g, _ in found), p
+            assert list(betti_table(RP2, RP2_RING, Window.of([RP2_TOP]), p).entries) == sorted(
+                found, key=lambda entry: entry[0]
+            )
 
 
 class TestTorsionDimension:
