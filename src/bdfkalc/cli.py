@@ -241,6 +241,8 @@ def parse_spec(
             fields[name] = parse(data.get(name), name, *args)
         except _Broken as exc:
             errors.append(exc.args)
+        except RecursionError:
+            errors.append((name, "nested too deeply to parse"))
 
     chosen = command or data.get("command")
     if chosen not in COMMANDS:

@@ -7,11 +7,19 @@ variables fit.
 
 One engine computes all homology: ``_complex_snapshot`` takes any
 complex with the small degreewise interface (support, index bound,
-piece dimensions, differentials), checks the chain law d.d = 0 and
-takes exact ranks.  Graded Betti numbers, torsion dimension, the shape
-of the minimal free resolution, the Serre product's alternating torsion
-and the Euler-characteristic identity all go through it, so each of them
-rejects a complex whose differentials do not compose to zero.
+piece dimensions, differentials), checks the chain law d.d = 0 on every
+pair of differentials it builds and takes exact ranks.  Graded Betti
+numbers, torsion dimension, the shape of the minimal free resolution,
+the Serre product's alternating torsion and the Euler-characteristic
+identity all go through it, so each of them rejects a complex whose
+differentials do not compose to zero where it looks.
+
+A Betti table visits only what the Taylor resolution allows: beta(i, g)
+of R/I vanishes unless g is the degree of the lcm of i generators, and
+free modules, shifts, sums and ideals follow.  So ``betti_table`` skips
+the other window degrees and, in each degree it keeps, builds only the
+pieces next to an allowed index.  A module class it does not know is
+visited at every degree and index.
 Each differential is built as sparse rows of (column, value) pairs and
 goes as built to the chain check and to ``rank``; no dense matrix is
 made.  A Koszul piece keeps one module piece per distinct wedge degree.
@@ -30,6 +38,7 @@ from .degrees import (
     Window,
     WindowError,
     candidate_degrees,
+    componentwise_min,
     grlex_sorted,
     leq_q,
 )
@@ -37,9 +46,14 @@ from .linalg import SparseRows, composes_to_zero, rank
 from .modules import (
     RING_MODULE,
     BasisLabel,
+    DirectSum,
+    FreeModule,
     GradedPiece,
     ModuleExpr,
+    MonomialIdeal,
+    MonomialQuotient,
     RingSpec,
+    ShiftedModule,
     graded_piece,
 )
 from .values import HashedValue, Value
@@ -173,9 +187,10 @@ def _homology_dimensions(
     seq: tuple[int, ...],
     g: Degree,
     characteristic: int,
+    indices: set[int] | None = None,
 ) -> list[int]:
-    """Dimensions of the Koszul homology in degree g, indices 0..bound."""
-    return _complex_snapshot(KoszulTensorComplex(module, ring, seq), g, characteristic)[1]
+    """Dimensions of the Koszul homology in degree g, indices 0..bound (only ``indices`` if given)."""
+    return _complex_snapshot(KoszulTensorComplex(module, ring, seq), g, characteristic, indices)[1]
 
 
 def tor_k(
@@ -237,18 +252,66 @@ def betti_table(
     """All graded Betti numbers with degree inside the window.
 
     Per degree, homological indices run up to the finite wedge bound, so
-    the table is total on its domain.
+    the table is total on its domain.  Where ``_taylor_support`` knows the
+    module, only the degrees and indices of its Taylor resolution are
+    visited; every other Betti number is zero.  Each differential that is
+    built is checked against its neighbours for d.d = 0.
     """
     seq = all_variables(ring)
+    degrees = candidate_degrees(module.lower_bounds(ring), window)
+    support = _taylor_support(module, ring, window)
+    visits = [(g, None) for g in degrees] if support is None else [(g, support[g]) for g in degrees if g in support]
     entries = [
         (i, g, value)
-        for g in candidate_degrees(module.lower_bounds(ring), window)
-        for i, value in enumerate(_homology_dimensions(module, ring, seq, g, characteristic))
+        for g, indices in visits
+        for i, value in enumerate(_homology_dimensions(module, ring, seq, g, characteristic, indices))
         if value
     ]
     # stable sort: within one index, degrees keep their enumeration order
     entries.sort(key=lambda entry: entry[0])
     return BettiTable(window, tuple(entries))
+
+
+def _taylor_support(module: ModuleExpr, ring: RingSpec, window: Window) -> dict[Degree, set[int]] | None:
+    """The indices at each degree where the Taylor resolution has a term, or None if unknown.
+
+    R/I has a term at deg lcm(S) in index |S| for each set S of generators,
+    the empty one included, and I at index |S| - 1 for S nonempty (Taylor;
+    Miller-Sturmfels 6.1), so every Betti number lies there.  The lcm's
+    grow as a closure over the generators; one whose degree leaves the
+    window is dropped as it is made, which is exact because variable
+    degrees are nonnegative.  Only the five node classes themselves are
+    known: a subclass may act differently.
+    """
+    kind = type(module)
+    if kind is FreeModule:
+        return {h: {0} for h in module.shifts}
+    if kind is ShiftedModule:
+        inner = _taylor_support(module.inner, ring, window.translate(-module.by))
+        return None if inner is None else {g + module.by: indices for g, indices in inner.items()}
+    if kind is DirectSum:
+        merged: dict[Degree, set[int]] = {}
+        for part in module.parts:
+            inner = _taylor_support(part, ring, window)
+            if inner is None:
+                return None
+            for g, indices in inner.items():
+                merged.setdefault(g, set()).update(indices)
+        return merged
+    if kind is not MonomialQuotient and kind is not MonomialIdeal:
+        return None
+    lcms = {(ZERO, 0)} if window.contains(ZERO) else set()
+    for gen in module.gens:
+        for m, size in list(lcms):
+            lcm = m + gen - componentwise_min(m, gen)
+            if window.contains(ring.degree(lcm)):
+                lcms.add((lcm, size + 1))
+    drop = 0 if kind is MonomialQuotient else 1
+    support: dict[Degree, set[int]] = {}
+    for m, size in lcms:
+        if size >= drop:
+            support.setdefault(ring.degree(m), set()).add(size - drop)
+    return support
 
 
 def torsion_dimension(
@@ -381,15 +444,21 @@ class AugmentedKoszulComplex(HashedValue):
         return koszul_differential(RING_MODULE, self.ring, all_variables(self.ring), n - 1, g)
 
 
-def _complex_snapshot(complex_, g: Degree, characteristic: int) -> tuple[list[int], list[int]]:
+def _complex_snapshot(
+    complex_, g: Degree, characteristic: int, indices: set[int] | None = None
+) -> tuple[list[int], list[int]]:
     """Term dimensions and homology dimensions of a complex in one degree.
 
-    Verifies the chain law along the way and raises ChainComplexError on a
-    nonzero composite.
+    With ``indices``, only the pieces at i - 1, i and i + 1 for each wanted
+    i are built, every other dimension and homology reads 0.  Verifies the
+    chain law on each pair of differentials that are built and raises
+    ChainComplexError on a nonzero composite.
     """
     bound = complex_.index_bound(g)
+    wanted = range(bound + 1) if indices is None else indices
+    built = {m for n in wanted for m in (n - 1, n, n + 1)}
     # the bound promises that the piece at bound + 1 is zero, so it is not built
-    dims = [complex_.piece_dim(n, g) for n in range(bound + 1)] + [0]
+    dims = [complex_.piece_dim(n, g) if n in built else 0 for n in range(bound + 1)] + [0]
     ranks = [0] * (bound + 2)
     # one differential's rows are held for the next index's chain check;
     # a map out of or into a zero piece is empty and is never built
@@ -407,7 +476,7 @@ def _complex_snapshot(complex_, g: Degree, characteristic: int) -> tuple[list[in
             )
         ranks[n] = rank(current, characteristic)
         previous = current
-    homology = [dims[n] - ranks[n] - ranks[n + 1] for n in range(bound + 1)]
+    homology = [dims[n] - ranks[n] - ranks[n + 1] if n in wanted else 0 for n in range(bound + 1)]
     return dims, homology
 
 

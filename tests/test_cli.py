@@ -136,6 +136,30 @@ class TestExitCodes:
         assert deep["coeffs"] == bare["coeffs"]
         assert deep["matches_tensor_product"] is bare["matches_tensor_product"] is True
 
+    def test_nesting_too_deep_for_the_module_parser_is_a_parse_error_at_its_field(self, tmp_path):
+        # 984 shifts pass the JSON reader but not the recursive module parser;
+        # one level less, and the deepest sums the parser takes, still compute.
+        # The job text is written directly: json.dumps would recurse as deep.
+        free = {"node": "free", "shifts": [[]]}
+        bare = run_cli("--command", "hilbert", spec=dict(MINIMAL, module=free), tmp_path=tmp_path)
+        path = tmp_path / "deep.json"
+
+        def run_nested(opening, closing, depth):
+            module = opening * depth + json.dumps(free) + closing * depth
+            text = json.dumps(dict(MINIMAL, module=None)).replace("null", module)
+            path.write_text(text)
+            return run_cli("--spec", str(path), "--command", "hilbert")
+
+        shift = ('{"node": "shift", "by": [], "module": ', "}")
+        deep = run_nested(*shift, 984)
+        assert deep.returncode == EXIT_PARSE
+        record = json.loads(deep.stderr)["error"]
+        assert record["kind"] == "parse"
+        assert record["details"] == [{"where": "module", "message": "nested too deeply to parse"}]
+        for deep in (run_nested(*shift, 983), run_nested('{"node": "sum", "parts": [', "]}", 491)):
+            assert (deep.returncode, deep.stderr) == (EXIT_OK, "")
+            assert deep.stdout == bare.stdout
+
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])
         result = run_cli("--command", "torsion-dim", spec=spec, tmp_path=tmp_path)

@@ -860,14 +860,17 @@ class TestBettiBudget:
         assert elapsed < 2.0, f"betti took {elapsed:.2f}s (budget 2s)"
         pins = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
         assert output == json.loads(pins.read_text(encoding="utf-8"))[pin]
+        # the Taylor support leaves 6 of the 25 window degrees and a few indices
+        # in each: 16 Koszul pieces, where the whole complex took 145
+        assert homology._koszul_piece.cache_info().misses <= 16
 
     def test_matrix_ring_quotient_mod_p_on_window_44(self):
-        # a generous regression guard: this takes about 0.1 s in process
-        # (0.15-0.2 s while differentials were built as dense matrices)
+        # a generous regression guard: this takes about 0.015 s in process
+        # (about 0.1 s while every window degree and index was visited)
         self._cold_betti(32003, "betti-p")
 
     def test_matrix_ring_quotient_over_q_on_window_44(self):
         # a generous guard on the per-block rank over Q: this takes about
-        # 0.1 s in process (0.2 s while differentials were built as dense
-        # matrices), and about 6.5 s with Bareiss on the whole matrix
+        # 0.015 s in process (about 0.1 s while every window degree and
+        # index was visited), and about 6.5 s with Bareiss on the whole matrix
         self._cold_betti(0, "betti-q")
