@@ -219,8 +219,8 @@ def taylor_terms(module, ring) -> set[tuple[int, Degree]]:
         return {(i, g + module.by) for i, g in taylor_terms(module.inner, ring)}
     if isinstance(module, DirectSum):
         return set().union(*(taylor_terms(part, ring) for part in module.parts))
-    drop = 0 if isinstance(module, MonomialQuotient) else 1
     assert isinstance(module, (MonomialQuotient, MonomialIdeal)), module
+    drop = 0 if isinstance(module, MonomialQuotient) else 1
     terms = set()
     for size in range(drop, len(module.gens) + 1):
         for subset in itertools.combinations(module.gens, size):
