@@ -2,11 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bdfkalc import (
     RING_MODULE,
     MonomialIdeal,
     ZERO,
+    Degree,
     DirectSum,
     FreeModule,
     KClass,
@@ -19,6 +22,7 @@ from bdfkalc import (
     class_of,
     degree,
     free_from_series,
+    leq_q,
     monomial_series,
     one_series,
     product,
@@ -184,6 +188,98 @@ class TestSerreProduct:
     def test_unsupported_left_factor(self):
         with pytest.raises(UnsupportedResolutionError):
             serre_product(XY, RING_MODULE, KXY, W33)
+
+
+# (ring, number of grading components, right factors): unit degrees, and two variables sharing a degree
+SERRE_RINGS = [
+    (
+        RingSpec.standard(2),
+        2,
+        [XY, MonomialIdeal.of([Monomial(((1, 2),)), Monomial(((2, 1),))]), FreeModule.of([degree(-1, 0)])],
+    ),
+    (
+        RingSpec.standard(3),
+        3,
+        [
+            MonomialQuotient.of([Monomial(((1, 1), (2, 1))), Monomial(((3, 2),))]),
+            DirectSum.of([variable_quotient(RingSpec.standard(3), (2,)), ShiftedModule(RING_MODULE, unit(3))]),
+        ],
+    ),
+    (RingSpec.matrix_ring([2, 1]), 2, [MonomialQuotient.of([Monomial(((1, 1), (3, 1)))]), RING_MODULE]),
+]
+
+
+def _shifts(width):
+    return st.lists(st.integers(-1, 1), min_size=width, max_size=width).map(lambda c: degree(*c))
+
+
+@st.composite
+def koszul_lefts(draw, ring, width, depth=2):
+    """Left factors ``serre_product`` resolves: free modules, shifts, sums and quotients by variable subsets."""
+    kind = draw(st.sampled_from(["free", "quotient"] + (["shift", "sum"] if depth else [])))
+    if kind == "free":
+        return FreeModule.of(draw(st.lists(_shifts(width), max_size=2)))
+    if kind == "shift":
+        return ShiftedModule(draw(koszul_lefts(ring, width, depth - 1)), draw(_shifts(width)))
+    if kind == "sum":
+        return DirectSum.of(draw(st.lists(koszul_lefts(ring, width, depth - 1), min_size=1, max_size=2)))
+    return variable_quotient(ring, draw(st.sets(st.integers(1, len(ring.variables)))))
+
+
+@st.composite
+def unresolvable_leaves(draw, ring):
+    """A monomial ideal, or a quotient with a generator of total degree at least 2."""
+    exponents = st.dictionaries(st.integers(1, len(ring.variables)), st.integers(1, 2), min_size=1, max_size=2)
+    drawn = {Degree.of(e) for e in draw(st.lists(exponents, min_size=1, max_size=3))}
+    gens = [m for m in drawn if not any(o != m and leq_q(o, m) for o in drawn)]
+    if draw(st.booleans()):
+        return MonomialIdeal.of(gens)
+    assume(any(gen.total() > 1 for gen in gens))
+    return MonomialQuotient.of(gens)
+
+
+@st.composite
+def lefts_holding(draw, ring, width, leaf, depth=2):
+    """A left factor tree with ``leaf`` somewhere in it and every other leaf resolvable."""
+    kind = draw(st.sampled_from(["leaf", "shift", "sum"] if depth else ["leaf"]))
+    if kind == "leaf":
+        return leaf
+    inner = draw(lefts_holding(ring, width, leaf, depth - 1))
+    if kind == "shift":
+        return ShiftedModule(inner, draw(_shifts(width)))
+    parts = draw(st.lists(koszul_lefts(ring, width, depth - 1), max_size=2))
+    parts.insert(draw(st.integers(0, len(parts))), inner)
+    return DirectSum.of(parts)
+
+
+@st.composite
+def serre_cases(draw, resolvable=True):
+    ring, width, rights = draw(st.sampled_from(SERRE_RINGS))
+    window = Window.of([draw(st.lists(st.integers(0, 2), min_size=width, max_size=width).map(lambda c: degree(*c)))])
+    if resolvable:
+        left = draw(koszul_lefts(ring, width))
+    else:
+        left = draw(lefts_holding(ring, width, draw(unresolvable_leaves(ring))))
+    return ring, left, draw(st.sampled_from(rights)), window
+
+
+class TestSerreDomain:
+    """Which left factors ``serre_product`` resolves, and that it agrees with the ring product on them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(serre_cases())
+    def test_resolvable_left_trees_match_the_ring_product(self, case):
+        ring, left, right, window = case
+        expected = product(class_of(left, ring, window), class_of(right, ring, window))
+        for characteristic in (0, 2):
+            assert serre_product(left, right, ring, window, characteristic) == expected, (left, right)
+
+    @settings(max_examples=300, deadline=None)
+    @given(serre_cases(resolvable=False))
+    def test_a_left_tree_with_an_ideal_or_a_nonlinear_quotient_is_refused(self, case):
+        ring, left, right, window = case
+        with pytest.raises(UnsupportedResolutionError):
+            serre_product(left, right, ring, window)
 
 
 class TestFreeFromSeries:
