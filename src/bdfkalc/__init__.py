@@ -72,6 +72,7 @@ from .modules import (
     residue_field,
     ring_hilbert,
     ring_hilbert_inverse,
+    shifted_leaves,
     validate_ring,
     variable_quotient,
 )

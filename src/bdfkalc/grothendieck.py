@@ -10,18 +10,9 @@ offers.
 
 from __future__ import annotations
 
-from .degrees import ZERO, Degree, SupportDescriptor, Window, candidate_degrees
+from .degrees import Degree, SupportDescriptor, Window, candidate_degrees
 from .homology import _homology_dimensions
-from .modules import (
-    DirectSum,
-    FreeModule,
-    ModuleExpr,
-    MonomialQuotient,
-    RingSpec,
-    ShiftedModule,
-    kseries,
-    ring_hilbert_inverse,
-)
+from .modules import FreeModule, ModuleExpr, RingSpec, kseries, ring_hilbert_inverse, shifted_leaves
 from .series import LaurentSeries, eq_on_window, mul, mul_q
 from .values import Value
 
@@ -62,34 +53,6 @@ def product(a: KClass, b: KClass) -> KClass:
     return KClass(mul(a.series, b.series), f"({a.provenance}) * ({b.provenance})")
 
 
-def _koszul_summands(module: ModuleExpr) -> list[tuple[Degree, tuple[int, ...]]] | None:
-    """The module as summands (h, S), each the quotient by x_S shifted by h.
-
-    A free module is the case S = ().  None when some part is not such a
-    quotient.
-    """
-    if isinstance(module, FreeModule):
-        return [(h, ()) for h in module.shifts]
-    if isinstance(module, MonomialQuotient):
-        if any(gen.total() != 1 for gen in module.gens):
-            return None
-        return [(ZERO, tuple(sorted(gen.entries[0][0] for gen in module.gens)))]
-    if isinstance(module, ShiftedModule):
-        inner = _koszul_summands(module.inner)
-        if inner is None:
-            return None
-        return [(h + module.by, positions) for h, positions in inner]
-    if isinstance(module, DirectSum):
-        summands = []
-        for part in module.parts:
-            inner = _koszul_summands(part)
-            if inner is None:
-                return None
-            summands.extend(inner)
-        return summands
-    return None
-
-
 def serre_product(
     m: ModuleExpr,
     n: ModuleExpr,
@@ -100,17 +63,19 @@ def serre_product(
     """The class of the alternating sum of the torsion modules of (m, n).
 
     The left factor must be a direct sum of shifted free modules and
-    shifted quotients by subsets of the variables.  The Koszul complex on
+    shifted quotients by subsets of the variables, read by
+    ``shifted_leaves``, so a subclass of a node is refused.  The Koszul complex on
     each subset resolves its quotient (the empty subset resolves the ring),
     so the torsion is the Koszul homology of n, moved up by the shift.  The
     result agrees with the plain product of the two classes on the window.
     """
-    summands = _koszul_summands(m)
-    if summands is None:
+    leaves = shifted_leaves(m)
+    if leaves is None or any(leaf.syzygy or any(gen.total() != 1 for gen in leaf.gens) for _, leaf in leaves):
         raise UnsupportedResolutionError(
             "left factor must be a direct sum of shifted free modules "
             "and shifted quotients by variable subsets"
         )
+    summands = [(h, tuple(sorted(gen.max_index() for gen in leaf.gens))) for h, leaf in leaves]
     support = SupportDescriptor.of(h for h, _ in summands) + n.lower_bounds(ring)
     coeffs = {}
     for g in candidate_degrees(support, window):

@@ -46,15 +46,11 @@ from .linalg import SparseRows, composes_to_zero, rank
 from .modules import (
     RING_MODULE,
     BasisLabel,
-    DirectSum,
-    FreeModule,
     GradedPiece,
     ModuleExpr,
-    MonomialIdeal,
-    MonomialQuotient,
     RingSpec,
-    ShiftedModule,
     graded_piece,
+    shifted_leaves,
 )
 from .values import HashedValue, Value
 
@@ -280,37 +276,23 @@ def _taylor_support(module: ModuleExpr, ring: RingSpec, window: Window) -> dict[
     Miller-Sturmfels 6.1), so every Betti number lies there.  The lcm's
     grow as a closure over the generators; one whose degree leaves the
     window is dropped as it is made, which is exact because variable
-    degrees are nonnegative.  Only the five node classes themselves are
-    known: a subclass may act differently.
+    degrees are nonnegative.  A module ``shifted_leaves`` cannot read is unknown.
     """
-    kind = type(module)
-    if kind is FreeModule:
-        return {h: {0} for h in module.shifts}
-    if kind is ShiftedModule:
-        inner = _taylor_support(module.inner, ring, window.translate(-module.by))
-        return None if inner is None else {g + module.by: indices for g, indices in inner.items()}
-    if kind is DirectSum:
-        merged: dict[Degree, set[int]] = {}
-        for part in module.parts:
-            inner = _taylor_support(part, ring, window)
-            if inner is None:
-                return None
-            for g, indices in inner.items():
-                merged.setdefault(g, set()).update(indices)
-        return merged
-    if kind is not MonomialQuotient and kind is not MonomialIdeal:
+    leaves = shifted_leaves(module)
+    if leaves is None:
         return None
-    lcms = {(ZERO, 0)} if window.contains(ZERO) else set()
-    for gen in module.gens:
-        for m, size in list(lcms):
-            lcm = m + gen - componentwise_min(m, gen)
-            if window.contains(ring.degree(lcm)):
-                lcms.add((lcm, size + 1))
-    drop = 0 if kind is MonomialQuotient else 1
     support: dict[Degree, set[int]] = {}
-    for m, size in lcms:
-        if size >= drop:
-            support.setdefault(ring.degree(m), set()).add(size - drop)
+    for shift, leaf in leaves:
+        below = window.translate(-shift)
+        lcms = {(ZERO, 0)} if below.contains(ZERO) else set()
+        for gen in leaf.gens:
+            for m, size in list(lcms):
+                lcm = m + gen - componentwise_min(m, gen)
+                if below.contains(ring.degree(lcm)):
+                    lcms.add((lcm, size + 1))
+        for m, size in lcms:
+            if size >= leaf.syzygy:
+                support.setdefault(ring.degree(m) + shift, set()).add(size - leaf.syzygy)
     return support
 
 

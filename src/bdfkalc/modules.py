@@ -384,6 +384,7 @@ class MonomialIdeal(ModuleExpr):
     """The ideal spanned by the monomials divisible by some generator."""
 
     _fields = ("gens",)
+    syzygy = 1  # I is the first syzygy of R/I: 0 -> I -> R -> R/I -> 0
 
     def __init__(self, gens: tuple[Monomial, ...]) -> None:
         self._set(gens)
@@ -411,6 +412,7 @@ class MonomialQuotient(ModuleExpr):
     """The ring modulo a monomial ideal: monomials no generator divides."""
 
     _fields = ("gens",)
+    syzygy = 0  # the syzygy of R/I that this module is
 
     def __init__(self, gens: tuple[Monomial, ...]) -> None:
         self._set(gens)
@@ -462,6 +464,32 @@ def variable_quotient(ring: RingSpec, positions: Iterable[int]) -> MonomialQuoti
 
 def residue_field(ring: RingSpec) -> MonomialQuotient:
     return variable_quotient(ring, range(1, len(ring.variables) + 1))
+
+
+def shifted_leaves(module: ModuleExpr) -> list[tuple[Degree, MonomialQuotient | MonomialIdeal]] | None:
+    """The module as a direct sum of shifted leaves in tree order, or None if a node is of another class.
+
+    Each leaf is a quotient or an ideal; a free module's shift h becomes
+    the leaf R/() moved up by h.  Nodes are read by their exact class, since
+    a subclass may act differently, and on an explicit stack, so a tree of
+    any depth is read.
+    """
+    leaves = []
+    stack = [(ZERO, module)]
+    while stack:
+        shift, node = stack.pop()
+        kind = type(node)
+        if kind is FreeModule:
+            leaves.extend((shift + h, MonomialQuotient(())) for h in node.shifts)
+        elif kind is ShiftedModule:
+            stack.append((shift + node.by, node.inner))
+        elif kind is DirectSum:
+            stack.extend((shift, part) for part in reversed(node.parts))
+        elif kind is MonomialQuotient or kind is MonomialIdeal:
+            leaves.append((shift, node))
+        else:
+            return None
+    return leaves
 
 
 @lru_cache(maxsize=None)

@@ -274,6 +274,18 @@ class TestSerreDomain:
         for characteristic in (0, 2):
             assert serre_product(left, right, ring, window, characteristic) == expected, (left, right)
 
+    def test_a_quotient_subclass_with_its_own_action_is_refused(self):
+        class Dead(MonomialQuotient):
+            """R/(x1) as a tree node, but every variable kills every label."""
+
+            def multiply_label(self, label, pos):
+                return None
+
+        with pytest.raises(UnsupportedResolutionError):
+            serre_product(Dead((unit(1),)), RING_MODULE, KXY, W33)
+        with pytest.raises(UnsupportedResolutionError):
+            serre_product(DirectSum.of([RING_MODULE, ShiftedModule(Dead((unit(1),)), unit(2))]), XY, KXY, W33)
+
     @settings(max_examples=300, deadline=None)
     @given(serre_cases(resolvable=False))
     def test_a_left_tree_with_an_ideal_or_a_nonlinear_quotient_is_refused(self, case):

@@ -36,6 +36,7 @@ from bdfkalc import (
     ring_hilbert,
     ring_hilbert_inverse,
     series_from_terms,
+    shifted_leaves,
     truncate,
     unit,
     validate_ring,
@@ -411,3 +412,27 @@ class TestMonomialEnumeration:
             ]
             expected.sort(key=lambda m: (m.total(), m.dense(len(var_degrees))))
             assert monomials_of_degree(ring, g) == tuple(expected)
+
+
+class TestShiftedLeaves:
+    """``shifted_leaves`` reads a tree as the direct sum of its shifted quotients and ideals."""
+
+    def test_leaves_come_in_tree_order_with_free_shifts_as_the_ring(self):
+        ring = MonomialQuotient(())
+        tree = DirectSum.of(
+            [ShiftedModule(DirectSum.of([FreeModule.of([ZERO, unit(1)]), XY]), unit(2)), XY_IDEAL, FreeModule()]
+        )
+        assert shifted_leaves(tree) == [(unit(2), ring), (degree(1, 1), ring), (unit(2), XY), (ZERO, XY_IDEAL)]
+
+    def test_a_subclass_anywhere_in_the_tree_is_unreadable(self):
+        class Renamed(MonomialQuotient):
+            pass
+
+        assert shifted_leaves(Renamed(XY.gens)) is None
+        assert shifted_leaves(DirectSum.of([XY, ShiftedModule(Renamed(XY.gens), unit(1))])) is None
+
+    def test_a_deep_tree_is_read_without_recursion(self):
+        module = XY
+        for k in range(5000):
+            module = ShiftedModule(module, unit(1)) if k % 2 else DirectSum((module,))
+        assert shifted_leaves(module) == [(degree(2500), XY)]
