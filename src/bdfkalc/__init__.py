@@ -36,7 +36,6 @@ from .homology import (
     ChainComplexError,
     KoszulPiece,
     KoszulTensorComplex,
-    ZeroDifferentialComplex,
     all_variables,
     betti_table,
     euler_check,

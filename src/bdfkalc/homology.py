@@ -367,33 +367,6 @@ class KoszulTensorComplex(HashedValue):
         return koszul_differential(self.module, self.ring, self.sequence, n, g)
 
 
-class ZeroDifferentialComplex(HashedValue):
-    """A complex whose differentials all vanish: homology equals the terms."""
-
-    __slots__ = _fields = ("modules", "ring")
-
-    def __init__(self, modules: tuple[ModuleExpr, ...], ring: RingSpec) -> None:
-        self._set(modules, ring)
-
-    @property
-    def support(self) -> SupportDescriptor:
-        result = SupportDescriptor()
-        for m in self.modules:
-            result = result.union(m.lower_bounds(self.ring))
-        return result
-
-    def index_bound(self, g: Degree) -> int:
-        return len(self.modules)
-
-    def piece_dim(self, n: int, g: Degree) -> int:
-        if n >= len(self.modules):
-            return 0
-        return graded_piece(self.modules[n], self.ring, g).dimension
-
-    def differential(self, n: int, g: Degree) -> SparseRows:
-        return [[] for _ in range(self.piece_dim(n - 1, g))]
-
-
 class AugmentedKoszulComplex(HashedValue):
     """Full-variable Koszul complex of the ring with the residue field appended.
 

@@ -24,14 +24,12 @@ from bdfkalc import (
     ShiftedModule,
     SupportDescriptor,
     Window,
-    ZeroDifferentialComplex,
     all_variables,
     betti_table,
     candidate_degrees,
     degree,
     eq_on_window,
     euler_check,
-    euler_profile,
     graded_piece,
     homology_profile,
     kseries,
@@ -680,7 +678,6 @@ class TestChainCheckOnEveryComplex:
     CASES = [
         (KoszulTensorComplex.of(RING_MODULE, KXY), W33),
         (AugmentedKoszulComplex(RingSpec.standard(3)), Window.of([degree(1, 1, 1)])),
-        (ZeroDifferentialComplex((RING_MODULE, XY, RING_MODULE), KXY), W33),
     ]
 
     @pytest.mark.parametrize("complex_, window", CASES, ids=lambda c: type(c).__name__)
@@ -709,7 +706,6 @@ def _complexes_with_windows():
             yield KoszulTensorComplex.of(module, ring, seq), window
     yield AugmentedKoszulComplex(RingSpec.standard(3)), Window.of([degree(2, 2, 2)])
     yield AugmentedKoszulComplex(RingSpec.matrix_ring([2, 2])), Window.of([degree(2, 2)])
-    yield ZeroDifferentialComplex((RING_MODULE, XY, RING_MODULE), KXY), W33
 
 
 def test_the_piece_past_the_index_bound_is_zero_on_every_complex_class():
@@ -722,7 +718,7 @@ def test_the_piece_past_the_index_bound_is_zero_on_every_complex_class():
         for g in candidate_degrees(complex_.support, window):
             assert complex_.piece_dim(complex_.index_bound(g) + 1, g) == 0, (complex_, g)
         classes.add(type(complex_))
-    assert classes == {KoszulTensorComplex, AugmentedKoszulComplex, ZeroDifferentialComplex}
+    assert classes == {KoszulTensorComplex, AugmentedKoszulComplex}
 
 
 class TestSparseRows:
@@ -743,9 +739,9 @@ class TestSparseRows:
                         assert all(j in cols for j in columns), (complex_, n, g, row)
                         assert all(type(v) is int and v for _, v in row), (complex_, n, g, row)
                         entries += len(row)
-            assert entries or isinstance(complex_, ZeroDifferentialComplex), complex_
+            assert entries, complex_
             classes.add(type(complex_))
-        assert classes == {KoszulTensorComplex, AugmentedKoszulComplex, ZeroDifferentialComplex}
+        assert classes == {KoszulTensorComplex, AugmentedKoszulComplex}
 
     @pytest.mark.parametrize(
         "spec,command,golden",
@@ -799,12 +795,6 @@ class TestShapeCheck:
 class TestEuler:
     def test_koszul_complex_on_the_ring(self):
         assert euler_check(KoszulTensorComplex.of(RING_MODULE, KXY), W33)
-
-    def test_zero_differentials_identity(self):
-        complex_ = ZeroDifferentialComplex((RING_MODULE, XY, RING_MODULE), KXY)
-        rows = euler_profile(complex_, W33)
-        for g, terms, homology in rows:
-            assert terms == homology
 
     def test_augmented_complex_is_exact(self):
         ring = RingSpec.standard(3)
