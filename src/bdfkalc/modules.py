@@ -216,23 +216,7 @@ def ring_hilbert_inverse(ring: RingSpec) -> QSeries:
     return QSeries.from_terms(terms, "(H(ring))^-1")
 
 
-class BasisLabel(Value):
-    """Basis element of a graded piece: a monomial tagged by its summand path."""
-
-    __slots__ = _fields = ("path", "monomial")
-
-    def __init__(self, path: tuple[int, ...], monomial: Monomial) -> None:
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "monomial", monomial)
-
-    # its own __eq__ and __hash__: labels key the index of every product lookup
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.path == other.path and self.monomial == other.monomial
-
-    def __hash__(self) -> int:
-        return hash((self.path, self.monomial))
+BasisLabel = tuple[tuple[int, ...], Monomial]  # basis element of a graded piece: (summand path, monomial)
 
 
 class GradedPiece(Value):
@@ -294,13 +278,14 @@ class FreeModule(ModuleExpr):
     def _labels(self, ring, g):
         for tag, shift in enumerate(self.shifts):
             for m in monomials_of_degree(ring, g - shift):
-                yield BasisLabel((tag,), m)
+                yield (tag,), m
 
     def lower_bounds(self, ring):
         return SupportDescriptor.of(self.shifts)
 
     def multiply_label(self, label, pos):
-        return BasisLabel(label.path, label.monomial + unit(pos))
+        path, m = label
+        return path, m + unit(pos)
 
     def describe(self, ring):
         if not self.shifts:
@@ -348,8 +333,8 @@ class DirectSum(ModuleExpr):
 
     def _labels(self, ring, g):
         for idx, part in enumerate(self.parts):
-            for label in part._labels(ring, g):
-                yield BasisLabel((idx,) + label.path, label.monomial)
+            for path, m in part._labels(ring, g):
+                yield (idx,) + path, m
 
     def lower_bounds(self, ring):
         result = SupportDescriptor()
@@ -358,11 +343,11 @@ class DirectSum(ModuleExpr):
         return result
 
     def multiply_label(self, label, pos):
-        idx = label.path[0]
-        inner = self.parts[idx].multiply_label(BasisLabel(label.path[1:], label.monomial), pos)
+        path, m = label
+        inner = self.parts[path[0]].multiply_label((path[1:], m), pos)
         if inner is None:
             return None
-        return BasisLabel((idx,) + inner.path, inner.monomial)
+        return path[:1] + inner[0], inner[1]
 
     def describe(self, ring):
         return "sum(" + ", ".join(p.describe(ring) for p in self.parts) + ")"
@@ -396,13 +381,14 @@ class MonomialIdeal(ModuleExpr):
     def _labels(self, ring, g):
         for m in monomials_of_degree(ring, g):
             if any(leq_q(gen, m) for gen in self.gens):
-                yield BasisLabel((), m)
+                yield (), m
 
     def lower_bounds(self, ring):
         return SupportDescriptor.of(ring.degree(gen) for gen in self.gens)
 
     def multiply_label(self, label, pos):
-        return BasisLabel((), label.monomial + unit(pos))
+        _, m = label
+        return (), m + unit(pos)
 
     def describe(self, ring):
         return "ideal(" + ", ".join(map(ring.describe, self.gens)) + ")"
@@ -424,7 +410,7 @@ class MonomialQuotient(ModuleExpr):
     def _labels(self, ring, g):
         for m in monomials_of_degree(ring, g):
             if not any(leq_q(gen, m) for gen in self.gens):
-                yield BasisLabel((), m)
+                yield (), m
 
     def lower_bounds(self, ring):
         return FULL_Q
@@ -437,10 +423,11 @@ class MonomialQuotient(ModuleExpr):
         divide the product either, so only the generators involving x_pos
         are tested.
         """
-        product = label.monomial + unit(pos)
+        _, m = label
+        product = m + unit(pos)
         if any(leq_q(gen, product) for gen in self._gens_by_variable.get(pos, ())):
             return None
-        return BasisLabel((), product)
+        return (), product
 
     @cached_property
     def _gens_by_variable(self) -> dict[int, tuple[Monomial, ...]]:
@@ -495,7 +482,7 @@ def shifted_leaves(module: ModuleExpr) -> list[tuple[Degree, MonomialQuotient | 
 @lru_cache(maxsize=None)
 def _graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
     num_vars = len(ring.variables)
-    basis = sorted(module._labels(ring, g), key=lambda l: (l.monomial.total(), l.monomial.dense(num_vars), l.path))
+    basis = sorted(module._labels(ring, g), key=lambda l: (l[1].total(), l[1].dense(num_vars), l[0]))
     return GradedPiece(g, tuple(basis))
 
 

@@ -6,7 +6,7 @@ elimination instead of fraction-free elimination, elimination mod p on the
 whole matrix instead of block by block, raw product-and-filter counting
 instead of recursive monomial enumeration, a per-degree product against
 lazy series instead of a convolution over the finite side, Koszul
-differentials built entry by entry from (positions, BasisLabel) lookups, and
+differentials built entry by entry from (positions, label) lookups, and
 the Serre product of a free left factor read off the right factor's
 graded pieces instead of its Koszul homology, and the degrees of a
 monomial module's Taylor resolution from every subset of its generators
@@ -103,7 +103,7 @@ def koszul_differential_by_labels(module, ring, seq, n: int, g: Degree):
     """The n-th Koszul differential in degree g, one entry at a time.
 
     Each column multiplies its label by every variable of its wedge afresh,
-    and each image finds its row through a dict keyed by (positions, BasisLabel).
+    and each image finds its row through a dict keyed by (positions, label).
     """
     from bdfkalc import koszul_piece
 

@@ -261,16 +261,12 @@ class TestKoszulPiece:
     def test_index_zero_is_the_module_piece(self):
         piece = koszul_piece(XY, KXY, (1, 2), 0, degree(2, 0))
         assert piece.dimension == 1
-        wedge, label = piece.basis[0]
-        assert wedge == ()
-        assert label.monomial == Monomial(((1, 2),))
+        assert piece.basis[0] == ((), ((), Monomial(((1, 2),))))
 
     def test_top_wedge_on_the_ring(self):
         piece = koszul_piece(RING_MODULE, KXY, (1, 2), 2, degree(1, 1))
         assert piece.dimension == 1
-        wedge, label = piece.basis[0]
-        assert wedge == (1, 2)
-        assert label.monomial == Monomial()
+        assert piece.basis[0] == ((1, 2), ((0,), Monomial()))
 
     def test_vanishes_beyond_the_variable_count_bound(self):
         g = degree(1, 1)
@@ -353,7 +349,7 @@ class TestKoszulDifferential:
 
 
 class TestKoszulDifferentialOracle:
-    """koszul_differential equals the entry-by-entry (positions, BasisLabel) construction."""
+    """koszul_differential equals the entry-by-entry (positions, label) construction."""
 
     R3 = RingSpec.standard(3)
     QUOTIENT = MonomialQuotient.of([Monomial(((1, 1), (2, 1))), Monomial(((2, 2), (3, 1)))])
@@ -647,7 +643,7 @@ class _NoncommutingQuotient(MonomialQuotient):
     """
 
     def multiply_label(self, label, pos):
-        if pos == 2 and label.monomial.coeff(1):
+        if pos == 2 and label[1].coeff(1):
             return None
         return super().multiply_label(label, pos)
 

@@ -17,7 +17,6 @@ import pytest
 from bdfkalc import (
     ZERO,
     AugmentedKoszulComplex,
-    BasisLabel,
     BettiTable,
     Degree,
     DirectSum,
@@ -50,7 +49,7 @@ def cases():
     ring2, ring3 = RingSpec.standard(2), RingSpec.standard(3)
     window = Window.of([Degree.of({1: 2, 2: 2})])
     free = FreeModule((Degree.of({}),))
-    label = BasisLabel((0,), e1)
+    label = ((0,), e1)
     piece = GradedPiece(e1, (label,))
     series = [LaurentSeries(window, SupportDescriptor.of([ZERO]), {ZERO: c}) for c in (1, 2)]
     return [
@@ -60,7 +59,6 @@ def cases():
         (Variable, ("name", "degree"), ("x1", e1), ("x1", e2)),
         (RingSpec, ("variables",), (ring2.variables,), (ring3.variables,)),
         (RingReport, ("problems",), (("bad x1",),), (("bad x2",),)),
-        (BasisLabel, ("path", "monomial"), ((0,), e1), ((1,), e1)),
         (GradedPiece, ("degree", "basis"), (e1, (label,)), (e2, (label,))),
         (FreeModule, ("shifts",), ((e1,),), ((e2,),)),
         (ShiftedModule, ("inner", "by"), (free, e1), (free, e2)),
@@ -86,7 +84,7 @@ IDS = [case[0].__name__ for case in cases()]
 
 
 def test_every_value_class_is_listed():
-    assert len(set(IDS)) == len(IDS) == 19
+    assert len(set(IDS)) == len(IDS) == 18
 
 
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
@@ -155,7 +153,7 @@ def test_defaults():
 
 def test_classes_with_a_cached_property_keep_an_instance_dict():
     e1 = Degree.of({1: 1})
-    piece = GradedPiece(e1, (BasisLabel((), e1),))
+    piece = GradedPiece(e1, (((), e1),))
     for value in (KoszulPiece((((1,), piece),)), RingSpec.standard(2), piece, MonomialQuotient((e1,))):
         assert isinstance(vars(value), dict)
 
