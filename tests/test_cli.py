@@ -160,6 +160,18 @@ class TestExitCodes:
             assert (deep.returncode, deep.stderr) == (EXIT_OK, "")
             assert deep.stdout == bare.stdout
 
+    def test_nesting_too_deep_to_compute_is_a_validation_error(self, tmp_path):
+        # 983 shifts parse, but betti and serre walk the tree deeper than the parser
+        free = {"node": "free", "shifts": [[]]}
+        module = '{"node": "shift", "by": [], "module": ' * 983 + json.dumps(free) + "}" * 983
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(dict(MINIMAL, module=None, module2=free)).replace("null", module))
+        for command in ("betti", "serre"):
+            result = run_cli("--spec", str(path), "--command", command)
+            assert (result.returncode, result.stdout) == (EXIT_VALIDATION, ""), command
+            record = json.loads(result.stderr)["error"]
+            assert record == {"kind": "validation", "message": "the module is nested too deeply to compute"}
+
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])
         result = run_cli("--command", "torsion-dim", spec=spec, tmp_path=tmp_path)
