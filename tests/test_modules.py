@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -435,3 +437,42 @@ class TestShiftedLeaves:
         for k in range(5000):
             module = ShiftedModule(module, unit(1)) if k % 2 else DirectSum((module,))
         assert shifted_leaves(module) == [(degree(2500), XY)]
+
+    def test_only_shifted_leaves_tests_a_module_node_class(self):
+        """Every other layer reads a tree through ``shifted_leaves`` or the nodes' own methods."""
+        found = {}
+        for path in sorted(Path(modules.__file__).parent.glob("*.py")):
+            scopes = _node_class_tests(ast.parse(path.read_text(encoding="utf-8")))
+            if scopes:
+                found[path.name] = set(scopes)
+        assert found == {"modules.py": {"shifted_leaves"}}
+
+
+NODE_CLASSES = {"ModuleExpr", "FreeModule", "ShiftedModule", "DirectSum", "MonomialIdeal", "MonomialQuotient"}
+
+
+def _node_class_tests(tree):
+    """The enclosing function of each isinstance, issubclass, class pattern or is/== test naming a node class."""
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    def tests_a_class(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass"):
+            return bool(names(node) & NODE_CLASSES)
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops):
+            return bool(names(node) & NODE_CLASSES)
+        return isinstance(node, ast.MatchClass) and bool(names(node.cls) & NODE_CLASSES)
+
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if tests_a_class(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
