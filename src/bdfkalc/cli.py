@@ -2,9 +2,9 @@
 
 One job per invocation.  Output is deterministic for identical jobs
 (stable ordering everywhere, no timestamps), so results can be used as
-golden files.  Exit codes: 0 success, 2 parse error, 3 validation error (a module
-nested too deeply to compute among them), 4 window error, 1 anything
-else; failures print a structured error record to stderr.
+golden files.  Exit codes: 0 success, 2 parse error, 3 validation error
+(a module nested too deeply to compute among them), 4 window error, 1
+anything else; failures print a structured error record to stderr.
 """
 
 from __future__ import annotations

@@ -63,8 +63,8 @@ def serre_product(
     """The class of the alternating sum of the torsion modules of (m, n).
 
     The left factor must be a direct sum of shifted free modules and
-    shifted quotients by subsets of the variables, read by
-    ``shifted_leaves``, so a subclass of a node is refused.  The Koszul complex on
+    shifted quotients by subsets of the variables, as ``shifted_leaves``
+    reads it, so a subclass of a node is refused.  The Koszul complex on
     each subset resolves its quotient (the empty subset resolves the ring),
     so the torsion is the Koszul homology of n, moved up by the shift.  The
     result agrees with the plain product of the two classes on the window.

@@ -369,7 +369,7 @@ class MonomialIdeal(ModuleExpr):
     """The ideal spanned by the monomials divisible by some generator."""
 
     _fields = ("gens",)
-    syzygy = 1  # I is the first syzygy of R/I: 0 -> I -> R -> R/I -> 0
+    syzygy = 1  # I is the first syzygy of R/I (0 -> I -> R -> R/I -> 0): its Taylor terms sit one index lower
 
     def __init__(self, gens: tuple[Monomial, ...]) -> None:
         self._set(gens)
@@ -398,7 +398,7 @@ class MonomialQuotient(ModuleExpr):
     """The ring modulo a monomial ideal: monomials no generator divides."""
 
     _fields = ("gens",)
-    syzygy = 0  # the syzygy of R/I that this module is
+    syzygy = 0  # R/I is its own zeroth syzygy; see MonomialIdeal.syzygy
 
     def __init__(self, gens: tuple[Monomial, ...]) -> None:
         self._set(gens)
