@@ -6,11 +6,13 @@ elimination instead of fraction-free elimination, elimination mod p on the
 whole matrix instead of block by block, raw product-and-filter counting
 instead of recursive monomial enumeration, a per-degree product against
 lazy series instead of a convolution over the finite side, Koszul
-differentials built entry by entry from (positions, label) lookups, and
-the Serre product of a free left factor read off the right factor's
-graded pieces instead of its Koszul homology, and the degrees of a
-monomial module's Taylor resolution from every subset of its generators
-instead of a closure pruned by the window.
+differentials built entry by entry from (positions, label) lookups
+instead of the module's variable action, the Serre product of a free left
+factor read off the right factor's graded pieces instead of its Koszul
+homology, the degrees of a monomial module's Taylor resolution from every
+subset of its generators instead of a closure pruned by the window, and
+the basis, support bounds, variable action and printed form of a module
+tree by a recursive walk over its nodes instead of its shifted leaves.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 from fractions import Fraction
 
 from bdfkalc import (
+    ZERO,
     Degree,
     DirectSum,
     FreeModule,
@@ -28,6 +31,9 @@ from bdfkalc import (
     SupportDescriptor,
     Window,
     candidate_degrees,
+    leq_q,
+    monomials_of_degree,
+    unit,
 )
 
 
@@ -100,10 +106,12 @@ def dense_rank_mod_p(matrix, p: int) -> int:
 
 
 def koszul_differential_by_labels(module, ring, seq, n: int, g: Degree):
-    """The n-th Koszul differential in degree g, one entry at a time.
+    """The n-th Koszul differential in degree g, one entry at a time, without the module's action.
 
-    Each column multiplies its label by every variable of its wedge afresh,
-    and each image finds its row through a dict keyed by (positions, label).
+    Each column multiplies its label's monomial by every variable of its
+    wedge afresh.  A product survives exactly when the label of its leaf
+    and the product is in the face's piece, so each image finds its row, or
+    dies, through a dict keyed by (positions, label).
     """
     from bdfkalc import koszul_piece
 
@@ -111,12 +119,11 @@ def koszul_differential_by_labels(module, ring, seq, n: int, g: Degree):
     target = koszul_piece(module, ring, seq, n - 1, g)
     index = {element: row for row, element in enumerate(target.basis)}
     matrix = [[0] * source.dimension for _ in range(target.dimension)]
-    for col, (w, label) in enumerate(source.basis):
+    for col, (w, (leaf, m)) in enumerate(source.basis):
         for slot, pos in enumerate(w):
-            image = module.multiply_label(label, pos)
-            if image is not None:
-                dropped = w[:slot] + w[slot + 1 :]
-                matrix[index[(dropped, image)]][col] += (-1) ** slot
+            row = index.get((w[:slot] + w[slot + 1 :], (leaf, m + unit(pos))))
+            if row is not None:
+                matrix[row][col] += (-1) ** slot
     return matrix
 
 
@@ -230,3 +237,92 @@ def taylor_terms(module, ring) -> set[tuple[int, Degree]]:
                     top[pos] = max(top.get(pos, 0), e)
             terms.add((size - drop, ring.degree(Degree.of(top))))
     return terms
+
+
+def reference_labels(module, ring, g: Degree) -> list:
+    """The labels (path, monomial) of the module's piece in degree g, unsorted, node by node.
+
+    A free module tags each shift's monomials with the shift's index, a
+    shift reads its inner piece at g - by, a sum puts each part's index in
+    front of the part's paths, and an ideal or a quotient keeps the ring's
+    monomials some generator does or does not divide, under the empty path.
+    """
+    if isinstance(module, FreeModule):
+        return [((tag,), m) for tag, h in enumerate(module.shifts) for m in monomials_of_degree(ring, g - h)]
+    if isinstance(module, ShiftedModule):
+        return reference_labels(module.inner, ring, g - module.by)
+    if isinstance(module, DirectSum):
+        return [((k,) + path, m) for k, part in enumerate(module.parts) for path, m in reference_labels(part, ring, g)]
+    inside = isinstance(module, MonomialIdeal)
+    return [((), m) for m in monomials_of_degree(ring, g) if any(leq_q(gen, m) for gen in module.gens) == inside]
+
+
+def reference_basis(module, ring, g: Degree) -> list:
+    """The labels of the piece at g in basis order: by monomial in graded-lex order, then by path."""
+    width = len(ring.variables)
+    return sorted(reference_labels(module, ring, g), key=lambda l: (l[1].total(), l[1].dense(width), l[0]))
+
+
+def reference_lower_bounds(module, ring) -> SupportDescriptor:
+    """Support lower bounds node by node: the shifts, moved, united, the generators' degrees or 0."""
+    if isinstance(module, FreeModule):
+        return SupportDescriptor.of(module.shifts)
+    if isinstance(module, ShiftedModule):
+        return reference_lower_bounds(module.inner, ring).translate(module.by)
+    if isinstance(module, DirectSum):
+        return SupportDescriptor.of(lb for part in module.parts for lb in reference_lower_bounds(part, ring).lower_bounds)
+    if isinstance(module, MonomialIdeal):
+        return SupportDescriptor.of(ring.degree(gen) for gen in module.gens)
+    return SupportDescriptor.of([ZERO])
+
+
+def reference_multiply(module, label, pos: int):
+    """x_pos times a reference label, or None when the product lies in a quotient's ideal."""
+    path, m = label
+    if isinstance(module, ShiftedModule):
+        return reference_multiply(module.inner, label, pos)
+    if isinstance(module, DirectSum):
+        inner = reference_multiply(module.parts[path[0]], (path[1:], m), pos)
+        return None if inner is None else ((path[0],) + inner[0], inner[1])
+    product = m + unit(pos)
+    if isinstance(module, MonomialQuotient) and any(leq_q(gen, product) for gen in module.gens):
+        return None
+    return path, product
+
+
+def reference_describe(module, ring) -> str:
+    """The printed form of a module tree, node by node."""
+    if isinstance(module, FreeModule):
+        return "free(" + ", ".join(map(str, module.shifts)) + ")" if module.shifts else "0"
+    if isinstance(module, ShiftedModule):
+        return f"shift({reference_describe(module.inner, ring)}, {module.by})"
+    if isinstance(module, DirectSum):
+        return "sum(" + ", ".join(reference_describe(part, ring) for part in module.parts) + ")"
+    if isinstance(module, MonomialIdeal):
+        return "ideal(" + ", ".join(map(ring.describe, module.gens)) + ")"
+    return "quotient(" + ", ".join(map(ring.describe, module.gens)) + ")" if module.gens else "ring"
+
+
+def reference_koszul_rows(module, ring, seq: tuple[int, ...], n: int, g: Degree):
+    """Sparse rows of the n-th Koszul differential in degree g from the reference basis and action.
+
+    ``seq`` must be strictly increasing.  Wedges come in ``combinations``
+    order and each wedge's labels in reference basis order.
+    """
+
+    def basis(k):
+        return [
+            (w, label)
+            for w in itertools.combinations(seq, k)
+            for label in reference_basis(module, ring, g - sum(map(ring.degree_of, w), ZERO))
+        ]
+
+    source, target = basis(n), basis(n - 1)
+    row_of = {element: row for row, element in enumerate(target)}
+    rows = [[] for _ in target]
+    for col, (w, label) in enumerate(source):
+        for slot, pos in enumerate(w):
+            image = reference_multiply(module, label, pos)
+            if image is not None:
+                rows[row_of[w[:slot] + w[slot + 1 :], image]].append((col, (-1) ** slot))
+    return rows

@@ -28,6 +28,8 @@ from bdfkalc import (
     graded_piece,
     hilbert,
     invert,
+    koszul_differential,
+    koszul_index_bound,
     kseries,
     leq_q,
     monomial_series,
@@ -43,7 +45,15 @@ from bdfkalc import (
     validate_ring,
     var_action,
 )
-from oracles import count_monomials, dense, exponent_vectors
+from oracles import (
+    count_monomials,
+    dense,
+    exponent_vectors,
+    reference_basis,
+    reference_describe,
+    reference_koszul_rows,
+    reference_lower_bounds,
+)
 from bdfkalc import cli, homology, modules
 from bdfkalc.degrees import FULL_Q
 from bdfkalc.linalg import matmul, sparse_rows
@@ -446,6 +456,46 @@ class TestShiftedLeaves:
             if scopes:
                 found[path.name] = set(scopes)
         assert found == {"modules.py": {"shifted_leaves"}}
+
+
+R3 = RingSpec.standard(3)
+_tree_shifts = st.sampled_from([ZERO, unit(2), degree(-1, 0, 1), degree(1, 1, 0)])
+_tree_gens = st.lists(
+    st.dictionaries(st.integers(1, 3), st.integers(1, 2), min_size=1, max_size=2).map(Degree.of), max_size=3
+).map(lambda drawn: [m for m in set(drawn) if not any(o != m and leq_q(o, m) for o in drawn)])
+
+
+@st.composite
+def module_trees(draw, depth=3):
+    """Trees over k[x1,x2,x3]: free modules with negative, repeated or no shifts, ideals, quotients, shifts and sums."""
+    kind = draw(st.sampled_from(["free", "ideal", "quotient"] + (["shift", "sum"] * 2 if depth else [])))
+    if kind == "free":
+        return FreeModule(tuple(draw(st.lists(_tree_shifts, max_size=3))))
+    if kind == "shift":
+        return ShiftedModule(draw(module_trees(depth - 1)), draw(_tree_shifts))
+    if kind == "sum":
+        return DirectSum.of(draw(st.lists(module_trees(depth - 1), max_size=3)))
+    return (MonomialIdeal if kind == "ideal" else MonomialQuotient).of(draw(_tree_gens))
+
+
+class TestTreeReference:
+    """Every read of a module tree agrees with the recursive node-by-node reference in ``oracles``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(module_trees())
+    def test_pieces_bounds_describe_and_differentials_match_the_reference(self, module):
+        window = Window.of([degree(2, 1, 1)])
+        support = module.lower_bounds(R3)
+        assert support == reference_lower_bounds(module, R3)
+        assert module.describe(R3) == reference_describe(module, R3)
+        full = (1, 2, 3)
+        for g in candidate_degrees(support, window):
+            expected = [m for _, m in reference_basis(module, R3, g)]
+            assert [m for _, m in graded_piece(module, R3, g).basis] == expected, g
+            for seq in (full, (1, 3)):
+                for n in range(1, koszul_index_bound(module, R3, seq, g) + 2):
+                    rows = reference_koszul_rows(module, R3, seq, n, g)
+                    assert koszul_differential(module, R3, seq, n, g) == rows, (seq, n, g)
 
 
 NODE_CLASSES = {"ModuleExpr", "FreeModule", "ShiftedModule", "DirectSum", "MonomialIdeal", "MonomialQuotient"}
