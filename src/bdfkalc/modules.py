@@ -167,7 +167,8 @@ def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
     degree d can appear at most min_i(remaining_i / d_i) times, and a
     monomial is built only once the remainder reaches zero.  A branch
     stops as soon as its remainder is positive in a grading component
-    that no later variable touches.
+    that no later variable touches.  Branches wait on an explicit stack,
+    so a ring of any width is enumerated.
     """
     if not g.is_nonnegative():
         return ()
@@ -179,23 +180,19 @@ def monomials_of_degree(ring: RingSpec, g: Degree) -> tuple[Monomial, ...]:
         unreachable.append(tuple(i for i in unreachable[-1] if not d[i]))
     unreachable.reverse()
     out: list[Monomial] = []
-
-    def extend(pos: int, remaining: tuple[int, ...], picked: list[tuple[int, int]]) -> None:
+    # each branch: the next variable position, the remainder and the (position, exponent) pairs so far
+    stack = [(1, g.dense(width), ())]
+    while stack:
+        pos, remaining, picked = stack.pop()
         if not any(remaining):
-            out.append(Degree(tuple(picked)))
-            return
+            out.append(Degree(picked))
+            continue
         if any(remaining[i] for i in unreachable[pos - 1]):
-            return
+            continue
         d = dense[pos - 1]
         bound = min(r // c for r, c in zip(remaining, d) if c)
         for e in range(bound + 1):
-            if e:
-                picked.append((pos, e))
-            extend(pos + 1, tuple(r - e * c for r, c in zip(remaining, d)), picked)
-            if e:
-                picked.pop()
-
-    extend(1, g.dense(width), [])
+            stack.append((pos + 1, tuple(r - e * c for r, c in zip(remaining, d)), picked + ((pos, e),) if e else picked))
     return tuple(grlex_sorted(out))
 
 

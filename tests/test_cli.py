@@ -172,6 +172,13 @@ class TestExitCodes:
             record = json.loads(result.stderr)["error"]
             assert record == {"kind": "validation", "message": "the module is nested too deeply to compute"}
 
+    def test_a_ring_of_3000_variables_computes(self, tmp_path):
+        # the monomial enumeration walks one branch per variable on a stack, not the call stack
+        spec = {"ring": {"columns": [3000]}, "module": {"node": "free", "shifts": [[]]}, "window": [[[1, 1]]]}
+        result = run_cli("--command", "hilbert", spec=spec, tmp_path=tmp_path)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        assert json.loads(result.stdout)["coeffs"] == [[[], 1], [[[1, 1]], 3000]]
+
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])
         result = run_cli("--command", "torsion-dim", spec=spec, tmp_path=tmp_path)
