@@ -63,19 +63,21 @@ def serre_product(
     """The class of the alternating sum of the torsion modules of (m, n).
 
     The left factor must be a direct sum of shifted free modules and
-    shifted quotients by subsets of the variables, as ``shifted_leaves``
-    reads it, so a subclass of a node is refused.  The Koszul complex on
+    shifted quotients by subsets of the variables: every leaf that
+    ``shifted_leaves`` reads must have syzygy 0, which only an exact
+    quotient has, and linear generators, so a subclass of a node is
+    refused.  The Koszul complex on
     each subset resolves its quotient (the empty subset resolves the ring),
     so the torsion is the Koszul homology of n, moved up by the shift.  The
     result agrees with the plain product of the two classes on the window.
     """
     leaves = shifted_leaves(m)
-    if leaves is None or any(leaf.syzygy or any(gen.total() != 1 for gen in leaf.gens) for _, leaf in leaves):
+    if any(syzygy != 0 or any(gen.total() != 1 for gen in leaf.gens) for _, leaf, syzygy in leaves):
         raise UnsupportedResolutionError(
             "left factor must be a direct sum of shifted free modules "
             "and shifted quotients by variable subsets"
         )
-    summands = [(h, tuple(sorted(gen.max_index() for gen in leaf.gens))) for h, leaf in leaves]
+    summands = [(h, tuple(sorted(gen.max_index() for gen in leaf.gens))) for h, leaf, _ in leaves]
     support = SupportDescriptor.of(h for h, _ in summands) + n.lower_bounds(ring)
     coeffs = {}
     for g in candidate_degrees(support, window):

@@ -276,13 +276,13 @@ def _taylor_support(module: ModuleExpr, ring: RingSpec, window: Window) -> dict[
     Miller-Sturmfels 6.1), so every Betti number lies there.  The lcm's
     grow as a closure over the generators; one whose degree leaves the
     window is dropped as it is made, which is exact because variable
-    degrees are nonnegative.  A module ``shifted_leaves`` cannot read is unknown.
+    degrees are nonnegative.  A module with a leaf of another class is unknown.
     """
     leaves = shifted_leaves(module)
-    if leaves is None:
+    if any(syzygy is None for _, _, syzygy in leaves):
         return None
     support: dict[Degree, set[int]] = {}
-    for shift, leaf in leaves:
+    for shift, leaf, syzygy in leaves:
         below = window.translate(-shift)
         lcms = {(ZERO, 0)} if below.contains(ZERO) else set()
         for gen in leaf.gens:
@@ -291,8 +291,8 @@ def _taylor_support(module: ModuleExpr, ring: RingSpec, window: Window) -> dict[
                 if below.contains(ring.degree(lcm)):
                     lcms.add((lcm, size + 1))
         for m, size in lcms:
-            if size >= leaf.syzygy:
-                support.setdefault(ring.degree(m) + shift, set()).add(size - leaf.syzygy)
+            if size >= syzygy:
+                support.setdefault(ring.degree(m) + shift, set()).add(size - syzygy)
     return support
 
 

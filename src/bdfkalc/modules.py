@@ -6,16 +6,19 @@ multidegree.  A monomial is a ``Degree`` whose indices are variable
 positions (``Monomial`` names it); the ring turns one into its
 multidegree and its printed form.  Module expressions are built from
 shifted free modules, direct sums, monomial ideals and their quotients.
-Every node can list a monomial basis of its piece in any degree, say how
-a variable acts on that basis, and produce a finite lower-bound set for
-its support — which is all the homology and series layers need.
+``shifted_leaves`` reads a tree as the direct sum of its shifted leaves,
+and every leaf can list the monomials of its piece in any degree, say how
+a variable acts on them, and produce a finite lower-bound set for its
+support.  The basis of a piece, the action on it and the support bounds
+of a tree are read from its leaves — which is all the homology and series
+layers need.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .degrees import (
     FULL_Q,
@@ -213,7 +216,7 @@ def ring_hilbert_inverse(ring: RingSpec) -> QSeries:
     return QSeries.from_terms(terms, "(H(ring))^-1")
 
 
-BasisLabel = tuple[tuple[int, ...], Monomial]  # basis element of a graded piece: (summand path, monomial)
+BasisLabel = tuple[int, Monomial]  # basis element of a graded piece: (leaf index in shifted_leaves, monomial)
 
 
 class GradedPiece(Value):
@@ -229,14 +232,17 @@ class GradedPiece(Value):
     def images(self, module: ModuleExpr, ring: RingSpec, pos: int) -> tuple[int | None, ...]:
         """Index of x_pos times each label in the piece at degree + deg(x_pos), None if it dies.
 
-        The piece must be the module's own ``graded_piece``.  Each map is kept
-        on it, so a label is multiplied by a variable once per piece's life.
+        The piece must be the module's own ``graded_piece``.  Each map reads
+        the module's leaves once and is kept on the piece, so a label is
+        multiplied by a variable once per piece's life.
         """
         if pos not in self._images:
             target = graded_piece(module, ring, self.degree + ring.degree_of(pos)).basis
             index = {label: k for k, label in enumerate(target)}
-            products = (module.multiply_label(label, pos) for label in self.basis)
-            self._images[pos] = tuple(None if p is None else index[p] for p in products)
+            times = [leaf.times for _, leaf, _ in shifted_leaves(module)]
+            self._images[pos] = tuple(
+                None if (product := times[leaf](m, pos)) is None else index[leaf, product] for leaf, m in self.basis
+            )
         return self._images[pos]
 
     @cached_property
@@ -245,19 +251,45 @@ class GradedPiece(Value):
 
 
 class ModuleExpr(HashedValue):
-    """Constructive graded module; subclasses enumerate bases degreewise."""
+    """Constructive graded module.
 
-    def _labels(self, ring: RingSpec, g: Degree) -> Iterator[BasisLabel]:
+    Free modules, shifts and sums are read through ``shifted_leaves``;
+    every other node is a leaf, which lists the monomials of its piece in a
+    degree, multiplies one of them by a variable and bounds its support.
+    """
+
+    def monomials(self, ring: RingSpec, g: Degree) -> Iterable[Monomial]:
+        """The monomials of this leaf's piece in degree g."""
+        raise NotImplementedError
+
+    def times(self, m: Monomial, pos: int) -> Monomial | None:
+        """x_pos times a monomial of this leaf's basis, or None when the product is zero."""
+        raise NotImplementedError
+
+    def support(self, ring: RingSpec) -> SupportDescriptor:
+        """Lower bounds of this leaf's support."""
+        raise NotImplementedError
+
+    def _printed(self, ring: RingSpec) -> tuple[str | ModuleExpr, ...]:
+        """This node's printed form: strings, with each child node in its place."""
         raise NotImplementedError
 
     def lower_bounds(self, ring: RingSpec) -> SupportDescriptor:
-        raise NotImplementedError
-
-    def multiply_label(self, label: BasisLabel, pos: int) -> BasisLabel | None:
-        raise NotImplementedError
+        """Lower bounds of the module's support: each leaf's own, moved up by its shift."""
+        leaves = shifted_leaves(self)
+        return SupportDescriptor.of(lb + shift for shift, leaf, _ in leaves for lb in leaf.support(ring).lower_bounds)
 
     def describe(self, ring: RingSpec) -> str:
-        raise NotImplementedError
+        """The printed form of the tree, expanded on an explicit stack, so a tree of any depth prints."""
+        out = []
+        stack: list[str | ModuleExpr] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            else:
+                stack.extend(reversed(item._printed(ring)))
+        return "".join(out)
 
 
 class FreeModule(ModuleExpr):
@@ -272,22 +304,8 @@ class FreeModule(ModuleExpr):
     def of(shifts: Iterable[Degree]) -> "FreeModule":
         return FreeModule(tuple(grlex_sorted(shifts)))
 
-    def _labels(self, ring, g):
-        for tag, shift in enumerate(self.shifts):
-            for m in monomials_of_degree(ring, g - shift):
-                yield (tag,), m
-
-    def lower_bounds(self, ring):
-        return SupportDescriptor.of(self.shifts)
-
-    def multiply_label(self, label, pos):
-        path, m = label
-        return path, m + unit(pos)
-
-    def describe(self, ring):
-        if not self.shifts:
-            return "0"
-        return "free(" + ", ".join(str(h) for h in self.shifts) + ")"
+    def _printed(self, ring):
+        return ("free(" + ", ".join(map(str, self.shifts)) + ")" if self.shifts else "0",)
 
 
 RING_MODULE = FreeModule((ZERO,))
@@ -305,17 +323,8 @@ class ShiftedModule(ModuleExpr):
     def __init__(self, inner: ModuleExpr, by: Degree) -> None:
         self._set(inner, by)
 
-    def _labels(self, ring, g):
-        return self.inner._labels(ring, g - self.by)
-
-    def lower_bounds(self, ring):
-        return self.inner.lower_bounds(ring).translate(self.by)
-
-    def multiply_label(self, label, pos):
-        return self.inner.multiply_label(label, pos)
-
-    def describe(self, ring):
-        return f"shift({self.inner.describe(ring)}, {self.by})"
+    def _printed(self, ring):
+        return ("shift(", self.inner, f", {self.by})")
 
 
 class DirectSum(ModuleExpr):
@@ -328,26 +337,8 @@ class DirectSum(ModuleExpr):
     def of(parts: Iterable[ModuleExpr]) -> "DirectSum":
         return DirectSum(tuple(parts))
 
-    def _labels(self, ring, g):
-        for idx, part in enumerate(self.parts):
-            for path, m in part._labels(ring, g):
-                yield (idx,) + path, m
-
-    def lower_bounds(self, ring):
-        result = SupportDescriptor()
-        for part in self.parts:
-            result = result.union(part.lower_bounds(ring))
-        return result
-
-    def multiply_label(self, label, pos):
-        path, m = label
-        inner = self.parts[path[0]].multiply_label((path[1:], m), pos)
-        if inner is None:
-            return None
-        return path[:1] + inner[0], inner[1]
-
-    def describe(self, ring):
-        return "sum(" + ", ".join(p.describe(ring) for p in self.parts) + ")"
+    def _printed(self, ring):
+        return ("sum(", *[item for part in self.parts for item in (", ", part)][1:], ")")
 
 
 def _reduced_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -366,7 +357,6 @@ class MonomialIdeal(ModuleExpr):
     """The ideal spanned by the monomials divisible by some generator."""
 
     _fields = ("gens",)
-    syzygy = 1  # I is the first syzygy of R/I (0 -> I -> R -> R/I -> 0): its Taylor terms sit one index lower
 
     def __init__(self, gens: tuple[Monomial, ...]) -> None:
         self._set(gens)
@@ -375,27 +365,23 @@ class MonomialIdeal(ModuleExpr):
     def of(gens: Iterable[Monomial]) -> "MonomialIdeal":
         return MonomialIdeal(_reduced_gens(gens))
 
-    def _labels(self, ring, g):
-        for m in monomials_of_degree(ring, g):
-            if any(leq_q(gen, m) for gen in self.gens):
-                yield (), m
+    def monomials(self, ring, g):
+        return [m for m in monomials_of_degree(ring, g) if any(leq_q(gen, m) for gen in self.gens)]
 
-    def lower_bounds(self, ring):
+    def times(self, m, pos):
+        return m + unit(pos)
+
+    def support(self, ring):
         return SupportDescriptor.of(ring.degree(gen) for gen in self.gens)
 
-    def multiply_label(self, label, pos):
-        _, m = label
-        return (), m + unit(pos)
-
-    def describe(self, ring):
-        return "ideal(" + ", ".join(map(ring.describe, self.gens)) + ")"
+    def _printed(self, ring):
+        return ("ideal(" + ", ".join(map(ring.describe, self.gens)) + ")",)
 
 
 class MonomialQuotient(ModuleExpr):
     """The ring modulo a monomial ideal: monomials no generator divides."""
 
     _fields = ("gens",)
-    syzygy = 0  # R/I is its own zeroth syzygy; see MonomialIdeal.syzygy
 
     def __init__(self, gens: tuple[Monomial, ...]) -> None:
         self._set(gens)
@@ -404,27 +390,20 @@ class MonomialQuotient(ModuleExpr):
     def of(gens: Iterable[Monomial]) -> "MonomialQuotient":
         return MonomialQuotient(_reduced_gens(gens))
 
-    def _labels(self, ring, g):
-        for m in monomials_of_degree(ring, g):
-            if not any(leq_q(gen, m) for gen in self.gens):
-                yield (), m
+    def monomials(self, ring, g):
+        return [m for m in monomials_of_degree(ring, g) if not any(leq_q(gen, m) for gen in self.gens)]
 
-    def lower_bounds(self, ring):
-        return FULL_Q
+    def times(self, m, pos):
+        """x_pos times a basis monomial, or None when the product lies in the ideal.
 
-    def multiply_label(self, label, pos):
-        """x_pos times a basis label, or None when the product lies in the ideal.
-
-        The label must be a basis element, so no generator divides its
-        monomial.  A generator that does not involve x_pos then cannot
-        divide the product either, so only the generators involving x_pos
-        are tested.
+        No generator divides a basis monomial, so a generator that does not
+        involve x_pos cannot divide the product either: only the generators
+        involving x_pos are tested.
         """
-        _, m = label
         product = m + unit(pos)
         if any(leq_q(gen, product) for gen in self._gens_by_variable.get(pos, ())):
             return None
-        return (), product
+        return product
 
     @cached_property
     def _gens_by_variable(self) -> dict[int, tuple[Monomial, ...]]:
@@ -435,10 +414,14 @@ class MonomialQuotient(ModuleExpr):
                 table.setdefault(pos, []).append(gen)
         return {pos: tuple(gens) for pos, gens in table.items()}
 
-    def describe(self, ring):
-        if not self.gens:
-            return "ring"
-        return "quotient(" + ", ".join(map(ring.describe, self.gens)) + ")"
+    def support(self, ring):
+        return FULL_Q
+
+    def _printed(self, ring):
+        return ("quotient(" + ", ".join(map(ring.describe, self.gens)) + ")" if self.gens else "ring",)
+
+
+_RING_LEAF = MonomialQuotient(())  # the leaf of each shift of a free module
 
 
 def variable_quotient(ring: RingSpec, positions: Iterable[int]) -> MonomialQuotient:
@@ -450,12 +433,15 @@ def residue_field(ring: RingSpec) -> MonomialQuotient:
     return variable_quotient(ring, range(1, len(ring.variables) + 1))
 
 
-def shifted_leaves(module: ModuleExpr) -> list[tuple[Degree, MonomialQuotient | MonomialIdeal]] | None:
-    """The module as a direct sum of shifted leaves in tree order, or None if a node is of another class.
+def shifted_leaves(module: ModuleExpr) -> list[tuple[Degree, ModuleExpr, int | None]]:
+    """The module as a direct sum of shifted leaves in tree order, each as (shift, leaf, syzygy).
 
-    Each leaf is a quotient or an ideal; a free module's shift h becomes
-    the leaf R/() moved up by h.  Nodes are read by their exact class, since
-    a subclass may act differently, and on an explicit stack, so a tree of
+    Free modules, shifts and sums are expanded, and each shift h of a free
+    module becomes the leaf R/() moved up by h; every other node is a leaf.
+    The syzygy places a leaf in 0 -> I -> R -> R/I -> 0: 0 for a quotient
+    R/I, 1 for an ideal I, whose Taylor terms sit one index lower, and None
+    for any other class.  Nodes are read by their exact class, since a
+    subclass may act differently, and on an explicit stack, so a tree of
     any depth is read.
     """
     leaves = []
@@ -464,22 +450,21 @@ def shifted_leaves(module: ModuleExpr) -> list[tuple[Degree, MonomialQuotient | 
         shift, node = stack.pop()
         kind = type(node)
         if kind is FreeModule:
-            leaves.extend((shift + h, MonomialQuotient(())) for h in node.shifts)
+            leaves.extend((shift + h, _RING_LEAF, 0) for h in node.shifts)
         elif kind is ShiftedModule:
             stack.append((shift + node.by, node.inner))
         elif kind is DirectSum:
             stack.extend((shift, part) for part in reversed(node.parts))
-        elif kind is MonomialQuotient or kind is MonomialIdeal:
-            leaves.append((shift, node))
         else:
-            return None
+            leaves.append((shift, node, 0 if kind is MonomialQuotient else 1 if kind is MonomialIdeal else None))
     return leaves
 
 
 @lru_cache(maxsize=None)
 def _graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
     num_vars = len(ring.variables)
-    basis = sorted(module._labels(ring, g), key=lambda l: (l[1].total(), l[1].dense(num_vars), l[0]))
+    labels = [(k, m) for k, (shift, leaf, _) in enumerate(shifted_leaves(module)) for m in leaf.monomials(ring, g - shift)]
+    basis = sorted(labels, key=lambda l: (l[1].total(), l[1].dense(num_vars), l[0]))
     return GradedPiece(g, tuple(basis))
 
 

@@ -160,17 +160,31 @@ class TestExitCodes:
             assert (deep.returncode, deep.stderr) == (EXIT_OK, "")
             assert deep.stdout == bare.stdout
 
-    def test_nesting_too_deep_to_compute_is_a_validation_error(self, tmp_path):
-        # 983 shifts parse, but betti and serre walk the tree deeper than the parser
+    def test_every_command_computes_the_deepest_modules_the_parser_takes(self, tmp_path):
+        # 983 shifts and 491 sums are the deepest the module parser takes; no command
+        # reads a tree deeper than that, so each prints what the bare module prints
         free = {"node": "free", "shifts": [[]]}
-        module = '{"node": "shift", "by": [], "module": ' * 983 + json.dumps(free) + "}" * 983
+        spec = dict(MINIMAL, module=free, module2=free, degree=[[1, 1], [2, 1]])
+        bare = {command: run_cli("--command", command, spec=spec, tmp_path=tmp_path) for command in COMMANDS if command != "invert"}
         path = tmp_path / "deep.json"
-        path.write_text(json.dumps(dict(MINIMAL, module=None, module2=free)).replace("null", module))
-        for command in ("betti", "serre"):
-            result = run_cli("--spec", str(path), "--command", command)
-            assert (result.returncode, result.stdout) == (EXIT_VALIDATION, ""), command
-            record = json.loads(result.stderr)["error"]
-            assert record == {"kind": "validation", "message": "the module is nested too deeply to compute"}
+        trees = [
+            ('{"node": "shift", "by": [], "module": ', "}", "shift(", ", 0)", 983),
+            ('{"node": "sum", "parts": [', "]}", "sum(", ")", 491),
+        ]
+        for opening, closing, printed_opening, printed_closing, depth in trees:
+            nested = opening * depth + json.dumps(free) + closing * depth
+            path.write_text(json.dumps(dict(spec, module=None, module2=None)).replace("null", nested))
+            printed = printed_opening * depth + "free(0)" + printed_closing * depth
+            for command, expected in bare.items():
+                assert expected.returncode == EXIT_OK, command
+                deep = run_cli("--spec", str(path), "--command", command)
+                assert (deep.returncode, deep.stderr) == (EXIT_OK, ""), (command, depth)
+                if command == "serre":
+                    # the provenance prints the module tree itself
+                    provenance = f"serre({printed}, {printed})"
+                    assert json.loads(deep.stdout) == dict(json.loads(expected.stdout), provenance=provenance), depth
+                else:
+                    assert deep.stdout == expected.stdout, (command, depth)
 
     def test_a_ring_of_3000_variables_computes(self, tmp_path):
         # the monomial enumeration walks one branch per variable on a stack, not the call stack

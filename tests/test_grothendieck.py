@@ -278,7 +278,7 @@ class TestSerreDomain:
         class Dead(MonomialQuotient):
             """R/(x1) as a tree node, but every variable kills every label."""
 
-            def multiply_label(self, label, pos):
+            def times(self, m, pos):
                 return None
 
         with pytest.raises(UnsupportedResolutionError):

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from bdfkalc import (
     ShiftedModule,
     Window,
     add,
+    betti_table,
     candidate_degrees,
     degree,
     eq_on_window,
@@ -38,12 +40,14 @@ from bdfkalc import (
     mul_q,
     ring_hilbert,
     ring_hilbert_inverse,
+    serre_product,
     series_from_terms,
     shifted_leaves,
     truncate,
     unit,
     validate_ring,
     var_action,
+    variable_quotient,
 )
 from oracles import (
     count_monomials,
@@ -143,7 +147,7 @@ class TestGradedPiece:
     def test_shifted_ring_at_its_shift(self):
         piece = graded_piece(FreeModule.of([unit(1)]), KXY, unit(1))
         assert piece.dimension == 1
-        assert piece.basis[0] == ((0,), Monomial())
+        assert piece.basis[0] == (0, Monomial())
 
     def test_quotient_by_xy_kills_mixed_degrees(self):
         # independent oracle: survivors are the pure powers
@@ -190,7 +194,7 @@ class TestGradedPiece:
         m = DirectSum.of([RING_MODULE, FreeModule.of([unit(1)])])
         piece = graded_piece(m, KXY, unit(1))
         assert piece.dimension == 2
-        assert {path[0] for path, _ in piece.basis} == {0, 1}
+        assert {leaf for leaf, _ in piece.basis} == {0, 1}
 
     def test_shift_moves_the_piece(self):
         shifted = ShiftedModule(XY, degree(1, 1))
@@ -238,19 +242,19 @@ class TestMonomialProducts:
                     for pos in range(1, 5):
                         product = Monomial.of(label[1].entries + ((pos, 1),))
                         dies = any(leq_q(gen, product) for gen in quotient.gens)
-                        expected = None if dies else ((), product)
-                        assert quotient.multiply_label(label, pos) == expected
+                        expected = None if dies else product
+                        assert quotient.times(label[1], pos) == expected
 
     def test_each_quotient_keeps_its_own_products(self):
         # R/(x1^2) and R/(x1x2) on k[x1,x2] share the label x1 but not its products
         square = MonomialQuotient.of([Monomial(((1, 2),))])
         mixed = MonomialQuotient.of([Monomial(((1, 1), (2, 1)))])
-        x1 = ((), Monomial(((1, 1),)))
+        x1 = Monomial(((1, 1),))
         for _ in range(2):
-            assert square.multiply_label(x1, 1) is None
-            assert square.multiply_label(x1, 2) == ((), Monomial(((1, 1), (2, 1))))
-            assert mixed.multiply_label(x1, 1) == ((), Monomial(((1, 2),)))
-            assert mixed.multiply_label(x1, 2) is None
+            assert square.times(x1, 1) is None
+            assert square.times(x1, 2) == Monomial(((1, 1), (2, 1)))
+            assert mixed.times(x1, 1) == Monomial(((1, 2),))
+            assert mixed.times(x1, 2) is None
 
     def test_a_second_parse_starts_with_empty_memos(self):
         text = json.dumps(
@@ -433,29 +437,64 @@ class TestShiftedLeaves:
         tree = DirectSum.of(
             [ShiftedModule(DirectSum.of([FreeModule.of([ZERO, unit(1)]), XY]), unit(2)), XY_IDEAL, FreeModule()]
         )
-        assert shifted_leaves(tree) == [(unit(2), ring), (degree(1, 1), ring), (unit(2), XY), (ZERO, XY_IDEAL)]
+        assert shifted_leaves(tree) == [(unit(2), ring, 0), (degree(1, 1), ring, 0), (unit(2), XY, 0), (ZERO, XY_IDEAL, 1)]
 
-    def test_a_subclass_anywhere_in_the_tree_is_unreadable(self):
+    def test_a_subclass_anywhere_in_the_tree_is_a_leaf_of_unknown_syzygy(self):
         class Renamed(MonomialQuotient):
             pass
 
-        assert shifted_leaves(Renamed(XY.gens)) is None
-        assert shifted_leaves(DirectSum.of([XY, ShiftedModule(Renamed(XY.gens), unit(1))])) is None
+        class Summed(DirectSum):
+            pass
+
+        renamed, summed = Renamed(XY.gens), Summed((XY,))
+        assert shifted_leaves(renamed) == [(ZERO, renamed, None)]
+        tree = DirectSum.of([XY, ShiftedModule(DirectSum.of([renamed, summed]), unit(1))])
+        assert shifted_leaves(tree) == [(ZERO, XY, 0), (unit(1), renamed, None), (unit(1), summed, None)]
 
     def test_a_deep_tree_is_read_without_recursion(self):
         module = XY
         for k in range(5000):
             module = ShiftedModule(module, unit(1)) if k % 2 else DirectSum((module,))
-        assert shifted_leaves(module) == [(degree(2500), XY)]
+        assert shifted_leaves(module) == [(degree(2500), XY, 0)]
+
+    def test_a_deep_tree_computes_like_its_flat_leaf(self):
+        assert sys.getrecursionlimit() <= 1000
+        x1 = variable_quotient(KXY, [1])
+        deep, printed = x1, "quotient(x1)"
+        for k in range(5000):
+            deep = ShiftedModule(deep, unit(1)) if k % 2 else DirectSum((deep,))
+            printed = f"shift({printed}, e1)" if k % 2 else f"sum({printed})"
+        flat = ShiftedModule(x1, degree(2500))
+        window = Window.of([degree(2502, 2)])
+        assert deep.describe(KXY) == printed
+        assert hilbert(deep, KXY, window) == hilbert(flat, KXY, window)
+        assert kseries(deep, KXY, window) == kseries(flat, KXY, window)
+        assert betti_table(deep, KXY, window) == betti_table(flat, KXY, window)
+        assert betti_table(deep, KXY, window).entries
+        assert serre_product(deep, XY, KXY, window) == serre_product(flat, XY, KXY, window)
+        assert serre_product(RING_MODULE, deep, KXY, window) == serre_product(RING_MODULE, flat, KXY, window)
 
     def test_only_shifted_leaves_tests_a_module_node_class(self):
-        """Every other layer reads a tree through ``shifted_leaves`` or the nodes' own methods."""
+        """Every other layer reads a tree through ``shifted_leaves`` or the leaves' own methods."""
         found = {}
         for path in sorted(Path(modules.__file__).parent.glob("*.py")):
             scopes = _node_class_tests(ast.parse(path.read_text(encoding="utf-8")))
             if scopes:
                 found[path.name] = set(scopes)
         assert found == {"modules.py": {"shifted_leaves"}}
+
+    def test_only_the_module_parser_calls_itself(self):
+        """No function in ``src/`` calls its own name but the parser, whose depth limit is a parse error.
+
+        A call through ``super()`` is not counted.  Two methods hand the call
+        to another class's method of the same name, which does not call back:
+        a class's coefficient is its series', and a series prints its degrees.
+        """
+        delegations = {"grothendieck.KClass.coeff", "series.LaurentSeries.to_json"}
+        found = set()
+        for path in sorted(Path(modules.__file__).parent.glob("*.py")):
+            found |= _self_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert found == {"cli._parse_module"} | delegations
 
 
 R3 = RingSpec.standard(3)
@@ -525,4 +564,29 @@ def _node_class_tests(tree):
             visit(child, scope)
 
     visit(tree, "<module>")
+    return found
+
+
+def _self_callers(tree, prefix):
+    """The dotted name of each function that calls a function or method of its own name, except through super()."""
+
+    def calls_itself(function):
+        for call in ast.walk(function):
+            func = getattr(call, "func", None)
+            if isinstance(func, ast.Name) and func.id == function.name:
+                return True
+            if isinstance(func, ast.Attribute) and func.attr == function.name:
+                receiver = func.value
+                if not (isinstance(receiver, ast.Call) and getattr(receiver.func, "id", None) == "super"):
+                    return True
+        return False
+
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found |= _self_callers(node, f"{prefix}.{node.name}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if calls_itself(node):
+                found.add(f"{prefix}.{node.name}")
+            found |= _self_callers(node, f"{prefix}.{node.name}")
     return found

@@ -49,7 +49,7 @@ def cases():
     ring2, ring3 = RingSpec.standard(2), RingSpec.standard(3)
     window = Window.of([Degree.of({1: 2, 2: 2})])
     free = FreeModule((Degree.of({}),))
-    label = ((0,), e1)
+    label = (0, e1)
     piece = GradedPiece(e1, (label,))
     series = [LaurentSeries(window, SupportDescriptor.of([ZERO]), {ZERO: c}) for c in (1, 2)]
     return [
@@ -153,7 +153,7 @@ def test_defaults():
 
 def test_classes_with_a_cached_property_keep_an_instance_dict():
     e1 = Degree.of({1: 1})
-    piece = GradedPiece(e1, (((), e1),))
+    piece = GradedPiece(e1, ((0, e1),))
     for value in (KoszulPiece((((1,), piece),)), RingSpec.standard(2), piece, MonomialQuotient((e1,))):
         assert isinstance(vars(value), dict)
 
