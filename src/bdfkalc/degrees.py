@@ -219,9 +219,6 @@ class SupportDescriptor(Value):
     def union(self, other: "SupportDescriptor") -> "SupportDescriptor":
         return SupportDescriptor.of(self.lower_bounds + other.lower_bounds)
 
-    def translate(self, g: Degree) -> "SupportDescriptor":
-        return SupportDescriptor.of(lb + g for lb in self.lower_bounds)
-
 
 FULL_Q = SupportDescriptor((ZERO,))
 

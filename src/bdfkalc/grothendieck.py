@@ -66,10 +66,10 @@ def serre_product(
     shifted quotients by subsets of the variables: every leaf that
     ``shifted_leaves`` reads must have syzygy 0, which only an exact
     quotient has, and linear generators, so a subclass of a node is
-    refused.  The Koszul complex on
-    each subset resolves its quotient (the empty subset resolves the ring),
-    so the torsion is the Koszul homology of n, moved up by the shift.  The
-    result agrees with the plain product of the two classes on the window.
+    refused.  The Koszul complex on each subset resolves its quotient (the
+    empty subset resolves the ring), so the torsion is the Koszul homology
+    of n, moved up by the shift.  The result agrees with the plain product
+    of the two classes on the window.
     """
     leaves = shifted_leaves(m)
     if any(syzygy != 0 or any(gen.total() != 1 for gen in leaf.gens) for _, leaf, syzygy in leaves):

@@ -268,7 +268,7 @@ def reference_lower_bounds(module, ring) -> SupportDescriptor:
     if isinstance(module, FreeModule):
         return SupportDescriptor.of(module.shifts)
     if isinstance(module, ShiftedModule):
-        return reference_lower_bounds(module.inner, ring).translate(module.by)
+        return SupportDescriptor.of(lb + module.by for lb in reference_lower_bounds(module.inner, ring).lower_bounds)
     if isinstance(module, DirectSum):
         return SupportDescriptor.of(lb for part in module.parts for lb in reference_lower_bounds(part, ring).lower_bounds)
     if isinstance(module, MonomialIdeal):
