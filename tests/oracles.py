@@ -4,7 +4,7 @@ Everything here recomputes expected values by a different route than the
 library: dense convolution instead of windowed products, Fraction
 elimination instead of fraction-free elimination, elimination mod p on the
 whole matrix instead of block by block, raw product-and-filter counting
-instead of recursive monomial enumeration, a per-degree product against
+instead of the pruned monomial enumeration, a per-degree product against
 lazy series instead of a convolution over the finite side, Koszul
 differentials built entry by entry from (positions, label) lookups
 instead of the module's variable action, the Serre product of a free left
