@@ -12,7 +12,8 @@ factor read off the right factor's graded pieces instead of its Koszul
 homology, the degrees of a monomial module's Taylor resolution from every
 subset of its generators instead of a closure pruned by the window, and
 the basis, support bounds, variable action and printed form of a module
-tree by a recursive walk over its nodes instead of its shifted leaves.
+tree by a recursive walk over its nodes instead of its shifted leaves, and
+the graded-lex order on dense coordinates instead of sparse entries.
 """
 
 from __future__ import annotations
@@ -239,6 +240,11 @@ def taylor_terms(module, ring) -> set[tuple[int, Degree]]:
     return terms
 
 
+def reference_grlex_key(d: Degree, width: int) -> tuple:
+    """Graded-lex order on dense coordinates: the total, then coordinates 1..width; width >= max index."""
+    return (d.total(), d.dense(width))
+
+
 def reference_labels(module, ring, g: Degree) -> list:
     """The labels (path, monomial) of the module's piece in degree g, unsorted, node by node.
 
@@ -260,7 +266,7 @@ def reference_labels(module, ring, g: Degree) -> list:
 def reference_basis(module, ring, g: Degree) -> list:
     """The labels of the piece at g in basis order: by monomial in graded-lex order, then by path."""
     width = len(ring.variables)
-    return sorted(reference_labels(module, ring, g), key=lambda l: (l[1].total(), l[1].dense(width), l[0]))
+    return sorted(reference_labels(module, ring, g), key=lambda l: (reference_grlex_key(l[1], width), l[0]))
 
 
 def reference_lower_bounds(module, ring) -> SupportDescriptor:
@@ -288,6 +294,17 @@ def reference_multiply(module, label, pos: int):
     if isinstance(module, MonomialQuotient) and any(leq_q(gen, product) for gen in module.gens):
         return None
     return path, product
+
+
+def reference_leaf_paths(module) -> list:
+    """The path of every leaf in tree order, as ``reference_labels`` tags them: one per free shift."""
+    if isinstance(module, FreeModule):
+        return [(tag,) for tag in range(len(module.shifts))]
+    if isinstance(module, ShiftedModule):
+        return reference_leaf_paths(module.inner)
+    if isinstance(module, DirectSum):
+        return [(k,) + path for k, part in enumerate(module.parts) for path in reference_leaf_paths(part)]
+    return [()]
 
 
 def reference_describe(module, ring) -> str:

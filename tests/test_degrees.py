@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from bdfkalc import (
     leq_q,
     unit,
 )
+from oracles import reference_grlex_key
 
 small_degrees = st.builds(
     lambda coords: Degree.of(enumerate(coords, start=1)),
@@ -29,6 +32,20 @@ dense_vectors = st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2]), min_size=WIDT
 
 def from_dense(vector):
     return Degree.of(enumerate(vector, start=1))
+
+
+# sparse degrees with negative entries at indices up to 8
+sparse_degrees = st.dictionaries(st.integers(1, 8), st.integers(-3, 3), max_size=4).map(Degree.of)
+
+
+def in_reference_order(degrees, width):
+    return sorted(degrees, key=lambda d: reference_grlex_key(d, width))
+
+
+def dense_box(lo, hi, width):
+    """Every degree g with lo <= g <= hi on coordinates 1..width, by brute force over the dense box."""
+    ranges = [range(a, b + 1) for a, b in zip(lo.dense(width), hi.dense(width))]
+    return [from_dense(vector) for vector in itertools.product(*ranges)]
 
 
 small_q = st.builds(
@@ -156,9 +173,41 @@ class TestDownset:
     @given(small_q)
     def test_graded_lex_order(self, u):
         down = enumerate_downset_q(u)
-        assert down == grlex_sorted(down)
+        assert down == in_reference_order(down, u.max_index())
         totals = [d.total() for d in down]
         assert totals == sorted(totals)
+
+
+class TestGradedLexOrder:
+    """The library's orders against the graded-lex key on dense coordinates in ``oracles``."""
+
+    @given(st.lists(sparse_degrees, max_size=12), st.integers(0, 3))
+    def test_grlex_sorted_matches_the_reference_at_every_width(self, degrees, extra):
+        width = max((d.max_index() for d in degrees), default=0) + extra
+        assert grlex_sorted(degrees) == in_reference_order(degrees, width)
+
+    @given(
+        st.lists(st.lists(st.integers(-2, 1), min_size=3, max_size=3).map(from_dense), min_size=1, max_size=3),
+        st.lists(st.lists(st.integers(-1, 3), min_size=3, max_size=3).map(from_dense), min_size=1, max_size=3),
+    )
+    def test_candidates_are_the_box_filtered_in_reference_order(self, bounds, ceilings):
+        support, window = SupportDescriptor.of(bounds), Window.of(ceilings)
+        lo = from_dense([min(b.coeff(i) for b in bounds) for i in (1, 2, 3)])
+        hi = from_dense([max(u.coeff(i) for u in ceilings) for i in (1, 2, 3)])
+        inside = [g for g in dense_box(lo, hi, 3) if support.contains(g) and window.contains(g)]
+        assert candidate_degrees(support, window) == in_reference_order(inside, 3)
+
+    @given(
+        st.lists(st.integers(-2, 3), min_size=3, max_size=3).map(from_dense),
+        st.lists(st.lists(st.integers(-2, 1), min_size=3, max_size=3).map(from_dense), min_size=1, max_size=2),
+        st.lists(st.lists(st.integers(-2, 1), min_size=3, max_size=3).map(from_dense), min_size=1, max_size=2),
+    )
+    def test_decompositions_are_the_box_filtered_in_reference_order_of_u(self, g, a_bounds, b_bounds):
+        a, b = SupportDescriptor.of(a_bounds), SupportDescriptor.of(b_bounds)
+        lo = from_dense([min(la.coeff(i) for la in a_bounds) for i in (1, 2, 3)])
+        hi = from_dense([max((g - lb).coeff(i) for lb in b_bounds) for i in (1, 2, 3)])
+        us = [u for u in dense_box(lo, hi, 3) if a.contains(u) and b.contains(g - u)]
+        assert decompositions(g, a, b) == [(u, g - u) for u in in_reference_order(us, 3)]
 
 
 class TestSupportDescriptor:
@@ -210,7 +259,7 @@ class TestWindow:
         support = SupportDescriptor.of([degree(1, 0)])
         window = Window.of([degree(2, 1)])
         got = candidate_degrees(support, window)
-        assert got == grlex_sorted(got)
+        assert got == in_reference_order(got, 2)
         assert set(got) == {degree(1, 0), degree(2, 0), degree(1, 1), degree(2, 1)}
 
 

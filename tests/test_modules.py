@@ -56,6 +56,7 @@ from oracles import (
     reference_basis,
     reference_describe,
     reference_koszul_rows,
+    reference_leaf_paths,
     reference_lower_bounds,
 )
 from bdfkalc import cli, homology, modules
@@ -535,6 +536,15 @@ class TestTreeReference:
                 for n in range(1, koszul_index_bound(module, R3, seq, g) + 2):
                     rows = reference_koszul_rows(module, R3, seq, n, g)
                     assert koszul_differential(module, R3, seq, n, g) == rows, (seq, n, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(module_trees(), st.sampled_from([R3, RingSpec.matrix_ring([3, 2])]))
+    def test_basis_is_the_reference_basis_with_paths_read_as_leaf_indices(self, module, ring):
+        """Many monomials share a degree in the matrix ring, so its pieces order ties by exponents."""
+        leaf_of = {path: k for k, path in enumerate(reference_leaf_paths(module))}
+        for g in candidate_degrees(module.lower_bounds(ring), Window.of([degree(2, 2, 1)])):
+            expected = tuple((leaf_of[path], m) for path, m in reference_basis(module, ring, g))
+            assert graded_piece(module, ring, g).basis == expected, g
 
 
 NODE_CLASSES = {"ModuleExpr", "FreeModule", "ShiftedModule", "DirectSum", "MonomialIdeal", "MonomialQuotient"}
