@@ -14,7 +14,8 @@ package:
   downward-closed region of everything below some ceiling element.
 
 Their intersection is always finite, which is what makes every
-computation here terminate.
+computation here terminate.  It is listed box by box, lo <= g <= hi, and
+sorted by :func:`grlex_key`; both read stored entries, never a ring-wide tuple.
 """
 
 from __future__ import annotations
@@ -166,26 +167,36 @@ def componentwise_min(g: Degree, h: Degree) -> Degree:
     return Degree.of({i: min(g.coeff(i), h.coeff(i)) for i in indices})
 
 
+def grlex_key(d: Degree) -> tuple:
+    """Sort key of the graded-lex order: by total, then lexicographically on dense coordinates.
+
+    It is read from the entries alone: (i, c) is (1, -i, c) for c > 0 and
+    (-1, i, c) for c < 0, and the end marker (0, 0, 0) sorts between them.
+    """
+    return (d.total(), *[(1, -i, c) if c > 0 else (-1, i, c) for i, c in d.entries], (0, 0, 0))
+
+
 def grlex_sorted(degrees: Iterable[Degree]) -> list[Degree]:
-    """Sort by total, ties broken lexicographically on dense coordinates.
+    """Sort by :func:`grlex_key`.
 
     This is a linear extension of the partial order: g strictly below h
     forces total(g) < total(h), so the recursion in series inversion may
     walk any downset in this order.
     """
-    items = list(degrees)
-    width = max((d.max_index() for d in items), default=0)
-    return sorted(items, key=lambda d: (d.total(), d.dense(width)))
+    return sorted(degrees, key=grlex_key)
+
+
+def _box(lo: Degree, hi: Degree) -> list[Degree]:
+    """Every g with lo <= g <= hi, unordered; empty unless lo <= hi."""
+    low, high = dict(lo.entries), dict(hi.entries)
+    indices = sorted(low.keys() | high.keys())
+    ranges = [range(low.get(i, 0), high.get(i, 0) + 1) for i in indices]
+    return [Degree(tuple((i, c) for i, c in zip(indices, combo) if c)) for combo in itertools.product(*ranges)]
 
 
 def enumerate_downset_q(u: Degree) -> list[Degree]:
     """All of Q below u, in graded-lex order; empty when u has a negative component."""
-    if not u.is_nonnegative():
-        return []
-    indices = [i for i, _ in u.entries]
-    ranges = [range(c + 1) for _, c in u.entries]
-    found = [Degree.of(zip(indices, combo)) for combo in itertools.product(*ranges)]
-    return grlex_sorted(found)
+    return grlex_sorted(_box(ZERO, u))
 
 
 class SupportDescriptor(Value):
@@ -265,34 +276,19 @@ def candidate_degrees(support: SupportDescriptor, window: Window) -> list[Degree
     """The finite set (support cones) ∩ (window region), in graded-lex order.
 
     Every nonzero coefficient of a series with this support and window
-    lives here; it is the enumeration grid for all degreewise loops.
+    lives here, in the union of the boxes lb <= g <= u; it is the
+    enumeration grid for all degreewise loops.
     """
-    found: set[Degree] = set()
-    for lb in support.lower_bounds:
-        for u in window.ceiling:
-            for p in enumerate_downset_q(u - lb):
-                found.add(lb + p)
-    return grlex_sorted(found)
+    return grlex_sorted({g for lb in support.lower_bounds for u in window.ceiling for g in _box(lb, u)})
 
 
 def decompositions(
     g: Degree, a: SupportDescriptor, b: SupportDescriptor
 ) -> list[tuple[Degree, Degree]]:
-    """All pairs (u, v) with u in a's cones, v in b's cones, u + v = g.
+    """All pairs (u, v) with u in a's cones, v in b's cones, u + v = g, by u in graded-lex order.
 
-    Finiteness: u is pinned between some lower bound of a and g minus a
-    lower bound of b, a box.
+    Finiteness: u is pinned in the box between some lower bound la of a
+    and g minus some lower bound lb of b.
     """
-    pairs: set[tuple[Degree, Degree]] = set()
-    for la in a.lower_bounds:
-        for lb in b.lower_bounds:
-            for p in enumerate_downset_q(g - la - lb):
-                u = la + p
-                pairs.add((u, g - u))
-    width = max((max(u.max_index(), v.max_index()) for u, v in pairs), default=0)
-
-    def key(pair: tuple[Degree, Degree]):
-        u, v = pair
-        return (u.total(), u.dense(width), v.dense(width))
-
-    return sorted(pairs, key=key)
+    found = {u for la in a.lower_bounds for lb in b.lower_bounds for u in _box(la, g - lb)}
+    return [(u, g - u) for u in grlex_sorted(found)]

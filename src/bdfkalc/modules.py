@@ -27,6 +27,7 @@ from .degrees import (
     SupportDescriptor,
     Window,
     candidate_degrees,
+    grlex_key,
     grlex_sorted,
     leq_q,
     unit,
@@ -462,9 +463,8 @@ def shifted_leaves(module: ModuleExpr) -> list[tuple[Degree, ModuleExpr, int | N
 
 @lru_cache(maxsize=None)
 def _graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
-    num_vars = len(ring.variables)
     labels = [(k, m) for k, (shift, leaf, _) in enumerate(shifted_leaves(module)) for m in leaf.monomials(ring, g - shift)]
-    basis = sorted(labels, key=lambda l: (l[1].total(), l[1].dense(num_vars), l[0]))
+    basis = sorted(labels, key=lambda l: (grlex_key(l[1]), l[0]))
     return GradedPiece(g, tuple(basis))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -187,11 +188,15 @@ class TestExitCodes:
                     assert deep.stdout == expected.stdout, (command, depth)
 
     def test_a_ring_of_3000_variables_computes(self, tmp_path):
-        # the monomial enumeration walks one branch per variable on a stack, not the call stack
+        # the monomial enumeration walks one branch per variable on a stack, not the call stack,
+        # and the graded-lex key reads a monomial's entries, not a tuple as wide as the ring
         spec = {"ring": {"columns": [3000]}, "module": {"node": "free", "shifts": [[]]}, "window": [[[1, 1]]]}
+        started = time.perf_counter()
         result = run_cli("--command", "hilbert", spec=spec, tmp_path=tmp_path)
+        elapsed = time.perf_counter() - started
         assert (result.returncode, result.stderr) == (EXIT_OK, "")
         assert json.loads(result.stdout)["coeffs"] == [[[], 1], [[[1, 1]], 3000]]
+        assert elapsed < 1.0, f"{elapsed:.2f} s end to end"
 
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])

@@ -497,6 +497,19 @@ class TestShiftedLeaves:
             found |= _self_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         assert found == {"cli._parse_module"} | delegations
 
+    def test_no_sort_key_reads_a_dense_tuple(self):
+        """Graded-lex sorts read ``grlex_key``; only the monomial enumeration builds dense tuples.
+
+        Its width is the grading's number of components, not the ring's number of variables.
+        """
+        keys, callers = [], set()
+        for path in sorted(Path(modules.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            keys += [kw.value for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords if kw.arg == "key"]
+            callers |= {f"{path.stem}.{name}" for name in _dense_callers(tree)}
+        assert not [key for key in keys if _dense_callers(key)]
+        assert callers == {"modules.monomials_of_degree"}
+
 
 R3 = RingSpec.standard(3)
 _tree_shifts = st.sampled_from([ZERO, unit(2), degree(-1, 0, 1), degree(1, 1, 0)])
@@ -599,4 +612,20 @@ def _self_callers(tree, prefix):
             if calls_itself(node):
                 found.add(f"{prefix}.{node.name}")
             found |= _self_callers(node, f"{prefix}.{node.name}")
+    return found
+
+
+def _dense_callers(tree):
+    """The enclosing function of each call of a ``.dense`` method, or ``<expr>`` outside any."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dense":
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<expr>")
     return found
