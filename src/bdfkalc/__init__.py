@@ -18,7 +18,6 @@ from .degrees import (
     decompositions,
     degree,
     enumerate_downset_q,
-    grlex_key,
     grlex_sorted,
     leq_q,
     unit,
