@@ -12,8 +12,11 @@ factor read off the right factor's graded pieces instead of its Koszul
 homology, the degrees of a monomial module's Taylor resolution from every
 subset of its generators instead of a closure pruned by the window, and
 the basis, support bounds, variable action and printed form of a module
-tree by a recursive walk over its nodes instead of its shifted leaves, and
-the graded-lex order on dense coordinates instead of sparse entries.
+tree by a recursive walk over its nodes instead of its shifted leaves,
+the graded-lex order on dense coordinates instead of sparse entries, and
+the K-polynomial of a matrix Schubert variety by divided differences
+instead of a Hilbert series, and the ring's inverse Hilbert series one
+term per subset of the variables instead of factor by factor.
 """
 
 from __future__ import annotations
@@ -144,6 +147,17 @@ def flat_serre_series(shifts, n, ring, window: Window):
         if value:
             coeffs[g] = value
     return mul_q(ring_hilbert_inverse(ring), LaurentSeries(window, support, coeffs))
+
+
+def ring_inverse_by_subsets(ring) -> dict:
+    """prod_i (1 - t^deg x_i) as {degree: coefficient}, one signed term per subset of the variables."""
+    terms: dict[Degree, int] = {}
+    degrees = [v.degree for v in ring.variables]
+    for size in range(len(degrees) + 1):
+        for subset in itertools.combinations(degrees, size):
+            g = sum(subset, ZERO)
+            terms[g] = terms.get(g, 0) + (-1) ** size
+    return {g: c for g, c in terms.items() if c}
 
 
 def exponent_vectors(var_degrees: list[tuple[int, ...]], target: tuple[int, ...]):
@@ -343,3 +357,89 @@ def reference_koszul_rows(module, ring, seq: tuple[int, ...], n: int, g: Degree)
             if image is not None:
                 rows[row_of[w[:slot] + w[slot + 1 :], image]].append((col, (-1) ** slot))
     return rows
+
+
+def schubert_ring(n: int):
+    """k[z_ij] for 1 <= i, j <= n, row by row, with deg z_ij = e_(2i-1) + e_(2j).
+
+    Row i and column j own their components, so a window sees finitely
+    many rows and columns.
+    """
+    from bdfkalc import RingSpec
+
+    return RingSpec.of((f"z[{i},{j}]", Degree.of({2 * i - 1: 1, 2 * j: 1})) for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def schubert_window(n: int) -> Window:
+    """The window with ceiling n - i on components 2i - 1 and 2i: the degrees of G_w for w in S_n."""
+    return Window.of([Degree.of({c: n - i for i in range(1, n + 1) for c in (2 * i - 1, 2 * i)})])
+
+
+def essential_set(w: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Fulton's essential set of w in one-line notation: the southeast corners of its Rothe diagram."""
+    n = len(w)
+
+    def diagram(i, j):
+        return i <= n and j <= n and w[i - 1] > j and w.index(j) + 1 > i
+
+    return [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if diagram(i, j) and not diagram(i + 1, j) and not diagram(i, j + 1)
+    ]
+
+
+def schubert_generators(w: tuple[int, ...], n: int) -> list[Degree]:
+    """The reduced generators of J_w on the n x n ring of ``schubert_ring``.
+
+    For each (i, j) of the essential set, the antidiagonal of every
+    (r_w(i, j) + 1)-minor of the northwest i x j corner (Knutson-Miller,
+    Gröbner geometry of Schubert polynomials, 2005); z_ij sits at
+    position (i - 1) n + j.
+    """
+    gens = set()
+    for i, j in essential_set(w):
+        rank = sum(1 for k in range(i) if w[k] <= j)
+        for rows in itertools.combinations(range(1, i + 1), rank + 1):
+            for cols in itertools.combinations(range(1, j + 1), rank + 1):
+                gens.add(Degree.of({(a - 1) * n + b: 1 for a, b in zip(rows, reversed(cols))}))
+    return [g for g in gens if not any(h != g and leq_q(h, g) for h in gens)]
+
+
+def grothendieck_polynomial(w: tuple[int, ...]) -> dict:
+    """The double Grothendieck polynomial G_w, with x_i read as t^(e_(2i-1)) and y_j as t^(e_(2j)).
+
+    The longest permutation of S_n has prod_(i+j<=n) (1 - x_i y_j); below
+    it, G_w is pi_i G_(w s_i) at an ascent i of w, where the isobaric
+    divided difference pi_i f = (x_(i+1) f - x_i s_i f) / (x_(i+1) - x_i)
+    (Lascoux-Schützenberger, 1982).  A term is a pair of exponent tuples.
+    """
+    n = len(w)
+    ascent = next((k for k in range(n - 1) if w[k] < w[k + 1]), None)
+    poly: dict[tuple, int] = {}
+    if ascent is None:
+        poly[(0,) * n, (0,) * n] = 1
+        for i, j in itertools.product(range(n), repeat=2):
+            if i + j < n - 1:
+                for (x, y), c in list(poly.items()):
+                    key = (x[:i] + (x[i] + 1,) + x[i + 1 :], y[:j] + (y[j] + 1,) + y[j + 1 :])
+                    poly[key] = poly.get(key, 0) - c
+        return poly
+    i = ascent
+    for (x, y), c in grothendieck_polynomial(w[:i] + (w[i + 1], w[i]) + w[i + 2 :]).items():
+        # x_(i+1) times the term is x_i^p x_(i+1)^q; the difference quotient of p != q is a geometric sum
+        p, q = x[i], x[i + 1] + 1
+        lo, hi = sorted((p, q))
+        for k in range(hi - lo):
+            key = (x[:i] + (lo + k, hi - 1 - k) + x[i + 2 :], y)
+            poly[key] = poly.get(key, 0) + (c if p < q else -c)
+    return {key: c for key, c in poly.items() if c}
+
+
+def grothendieck_series(w: tuple[int, ...]) -> dict:
+    """G_w as {degree: coefficient} in the grading of ``schubert_ring``."""
+    return {
+        Degree.of([(2 * i - 1, e) for i, e in enumerate(x, 1)] + [(2 * j, e) for j, e in enumerate(y, 1)]): c
+        for (x, y), c in grothendieck_polynomial(w).items()
+    }

@@ -31,7 +31,14 @@ from bdfkalc import (
     unit,
     variable_quotient,
 )
-from oracles import flat_serre_series
+from oracles import (
+    essential_set,
+    flat_serre_series,
+    grothendieck_series,
+    schubert_generators,
+    schubert_ring,
+    schubert_window,
+)
 
 KXY = RingSpec.standard(2)
 W33 = Window.of([degree(3, 3)])
@@ -375,3 +382,31 @@ class TestDescribe:
         left, right = FreeModule.of([ZERO, unit(1)]), MonomialQuotient.of(SQUARE_AND_MIXED)
         result = serre_product(left, right, K3, Window.of([degree(1, 1, 1)]))
         assert result.provenance == "serre(free(0, e1), quotient(x2*x3, x1^2))"
+
+
+class TestMatrixSchubert:
+    """K-series of R/J_w are the double Grothendieck polynomials (Knutson-Miller, 2005)."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_kseries_of_each_antidiagonal_quotient_is_its_grothendieck_polynomial(self, n):
+        ring, window = schubert_ring(n), schubert_window(n)
+        for w in itertools.permutations(range(1, n + 1)):
+            module = MonomialQuotient.of(schubert_generators(w, n))
+            assert dict(class_of(module, ring, window).series.terms) == grothendieck_series(w), w
+
+    def test_padding_to_four_by_four_changes_nothing(self):
+        # the infinite-matrix limit: w and w x 1 have the same K-series, also on the larger window
+        ring, window = schubert_ring(4), schubert_window(4)
+        for w in itertools.permutations(range(1, 4)):
+            padded = MonomialQuotient.of(schubert_generators(w + (4,), 4))
+            assert grothendieck_series(w + (4,)) == grothendieck_series(w)
+            assert dict(class_of(padded, ring, window).series.terms) == grothendieck_series(w), w
+
+    def test_oracle_on_hand_examples(self):
+        # J_132 is the antidiagonal z12 z21 of the northwest 2 x 2 minor; J_213 is z11
+        assert essential_set((1, 3, 2)) == [(2, 2)]
+        assert schubert_generators((1, 3, 2), 3) == [Degree.of({2: 1, 4: 1})]
+        assert essential_set((2, 1, 3)) == [(1, 1)]
+        assert schubert_generators((2, 1, 3), 3) == [Degree.of({1: 1})]
+        assert grothendieck_series((2, 1)) == {ZERO: 1, degree(1, 1): -1}
+        assert grothendieck_series((1, 2)) == {ZERO: 1}

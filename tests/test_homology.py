@@ -60,7 +60,14 @@ from bdfkalc.linalg import (
     rank_mod_p,
     sparse_rows,
 )
-from oracles import dense, dense_rank_mod_p, fraction_rank, koszul_differential_by_labels, taylor_terms
+from oracles import (
+    dense,
+    dense_rank_mod_p,
+    fraction_rank,
+    koszul_differential_by_labels,
+    schubert_ring,
+    taylor_terms,
+)
 
 KXY = RingSpec.standard(2)
 W33 = Window.of([degree(3, 3)])
@@ -298,6 +305,23 @@ class TestKoszulPiece:
                         ]
                         assert list(basis) == expected, (module, seq, n, g)
 
+    def test_the_cases_hold_wedges_that_fit_under_no_room(self):
+        # a wedge within the index bound whose degree lies under no g - lb pairs with an empty piece;
+        # some case has one with every lower bound off the origin, on two-component variable degrees
+        unfit = []
+        for ring, module, window in TestKoszulDifferentialOracle().cases():
+            bounds = module.lower_bounds(ring).lower_bounds
+            if ZERO in bounds or all(len(v.degree.entries) < 2 for v in ring.variables):
+                continue
+            full = all_variables(ring)
+            for g in candidate_degrees(module.lower_bounds(ring), window):
+                for n in range(1, koszul_index_bound(module, ring, full, g) + 1):
+                    for wedge in itertools.combinations(full, n):
+                        d = ring.degree(Monomial(tuple((p, 1) for p in wedge)))
+                        if not any(leq_q(d, g - lb) for lb in bounds):
+                            unfit.append((wedge, g))
+        assert unfit
+
     def test_graded_piece_once_per_wedge_degree(self, monkeypatch):
         # the 15 two-wedges of matrix_ring([3, 3]) have the 3 degrees 2e1, e1 + e2 and 2e2
         ring = RingSpec.matrix_ring([3, 3])
@@ -369,6 +393,9 @@ class TestKoszulDifferentialOracle:
         matrix_quotient = MonomialQuotient.of([Monomial(((1, 1), (3, 1))), Monomial(((2, 2),))])
         yield self.MATRIX_RING, matrix_quotient, Window.of([degree(2, 2)])
         yield RP2_RING, RP2, Window.of([RP2_TOP])
+        # every variable has a two-component degree and the shift moves both bounds off the origin
+        ideal = MonomialIdeal.of([Monomial(((1, 2),)), Monomial(((2, 1), (4, 1)))])
+        yield schubert_ring(2), ShiftedModule(ideal, degree(0, -1, 1)), Window.of([degree(3, 2, 3, 3)])
 
     def test_matches_the_label_oracle(self):
         for ring, module, window in self.cases():
