@@ -1,9 +1,9 @@
 """Koszul complexes on variable subsets, tensored degreewise with a module.
 
-Each degree sees only finitely many homological indices: a wedge of n
-variables contributing in degree g forces n distinct variables below
-g minus a support lower bound of the module, and only finitely many
-variables fit.
+A wedge pairs with a nonzero module piece in degree g only if its degree
+fits under a room g - lb, for a support lower bound lb of the module, as
+variable degrees are nonnegative.  So a Koszul piece holds only the
+wedges that fit, and each degree sees finitely many homological indices.
 
 One engine computes all homology: ``_complex_snapshot`` takes any
 complex with the small degreewise interface (support, index bound,
@@ -28,7 +28,7 @@ made.  A Koszul piece keeps one module piece per distinct wedge degree.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Iterable
 
 from .degrees import (
@@ -70,9 +70,9 @@ def _canonical_sequence(seq: Iterable[int]) -> tuple[int, ...]:
 class KoszulPiece(Value):
     """Degree-g part of the n-th Koszul term tensored with the module.
 
-    ``parts`` pairs each wedge, a strictly increasing tuple of variable
-    positions as ``combinations`` yields it from the canonical sequence, with
-    the module's graded piece in degree g minus the wedge's degree.  Each
+    ``parts`` pairs each wedge that fits, an increasing tuple of variable
+    positions as ``combinations`` yields it from the canonical sequence,
+    with the module's graded piece in degree g minus the wedge's degree.  Each
     basis element is a pair (positions, label); wedges come in
     ``combinations`` order, and each wedge's labels in graded-piece order.
     """
@@ -91,11 +91,19 @@ class KoszulPiece(Value):
         return sum(len(piece.basis) for _, piece in self.parts)
 
 
+def _rooms(module: ModuleExpr, ring: RingSpec, g: Degree) -> list[Degree]:
+    """g - lb for each support lower bound lb of the module: a wedge fits if its degree lies under one."""
+    return [g - lb for lb in module.lower_bounds(ring).lower_bounds]
+
+
 @lru_cache(maxsize=None)
 def _koszul_piece(
     module: ModuleExpr, ring: RingSpec, seq: tuple[int, ...], n: int, g: Degree
 ) -> KoszulPiece:
-    wedges = ring.wedges(seq, n)
+    rooms = _rooms(module, ring, g)
+    fitting = [pos for pos in seq if any(leq_q(ring.degree_of(pos), room) for room in rooms)]
+    wedges = [(w, sum(map(ring.degree_of, w), ZERO)) for w in combinations(fitting, n)]
+    wedges = [(w, d) for w, d in wedges if any(leq_q(d, room) for room in rooms)]
     inner = {d: graded_piece(module, ring, g - d) for d in dict.fromkeys(d for _, d in wedges)}
     return KoszulPiece(tuple((positions, inner[d]) for positions, d in wedges))
 
@@ -162,19 +170,9 @@ def var_action(module: ModuleExpr, ring: RingSpec, variable: int | str, g: Degre
 def koszul_index_bound(
     module: ModuleExpr, ring: RingSpec, seq: Iterable[int], g: Degree
 ) -> int:
-    """An n beyond which every Koszul piece in degree g is zero.
-
-    A contributing wedge needs all its variables below g minus some
-    support lower bound of the module, so its length is at most the
-    largest such variable count.
-    """
+    """An n beyond which every Koszul piece in degree g is zero: the most variables that fit one room."""
     sequence = _canonical_sequence(seq)
-    bound = 0
-    for lb in module.lower_bounds(ring).lower_bounds:
-        room = g - lb
-        count = sum(1 for pos in sequence if leq_q(ring.degree_of(pos), room))
-        bound = max(bound, count)
-    return bound
+    return max((sum(leq_q(ring.degree_of(pos), room) for pos in sequence) for room in _rooms(module, ring, g)), default=0)
 
 
 def _homology_dimensions(

@@ -17,7 +17,6 @@ layers need.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .degrees import (
@@ -51,7 +50,7 @@ class RingSpec(HashedValue):
     downstream.
     """
 
-    _fields = ("variables",)
+    __slots__ = _fields = ("variables",)
 
     def __init__(self, variables: tuple[Variable, ...]) -> None:
         self._set(variables)
@@ -94,16 +93,6 @@ class RingSpec(HashedValue):
             name = self.variables[pos - 1].name
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) or "1"
-
-    def wedges(self, seq: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], Degree], ...]:
-        """The n-subsets of the increasing seq with their degrees, in ``combinations`` order."""
-        if (seq, n) not in self._wedges:
-            self._wedges[seq, n] = tuple((w, sum(map(self.degree_of, w), ZERO)) for w in combinations(seq, n))
-        return self._wedges[seq, n]
-
-    @cached_property
-    def _wedges(self) -> dict[tuple[tuple[int, ...], int], tuple]:
-        return {}
 
 
 class RingReport(Value):

@@ -325,10 +325,6 @@ class TestKoszulPiece:
     def test_graded_piece_once_per_wedge_degree(self, monkeypatch):
         # the 15 two-wedges of matrix_ring([3, 3]) have the 3 degrees 2e1, e1 + e2 and 2e2
         ring = RingSpec.matrix_ring([3, 3])
-        wedges = ring.wedges(all_variables(ring), 2)
-        assert len(wedges) == 15
-        assert {d for _, d in wedges} == {degree(2), degree(1, 1), degree(0, 2)}
-        assert ring.wedges(all_variables(ring), 2) is wedges
         looked_up = []
         real = homology.graded_piece
         monkeypatch.setattr(homology, "graded_piece", lambda *args: looked_up.append(args) or real(*args))

@@ -154,8 +154,12 @@ def test_defaults():
 def test_classes_with_a_cached_property_keep_an_instance_dict():
     e1 = Degree.of({1: 1})
     piece = GradedPiece(e1, ((0, e1),))
-    for value in (KoszulPiece((((1,), piece),)), RingSpec.standard(2), piece, MonomialQuotient((e1,))):
+    for value in (KoszulPiece((((1,), piece),)), piece, MonomialQuotient((e1,))):
         assert isinstance(vars(value), dict)
+
+
+def test_a_ring_keeps_no_instance_dict():
+    assert not hasattr(RingSpec.standard(2), "__dict__")
 
 
 def test_an_ideal_and_a_quotient_on_the_same_generators_are_different_cache_keys():
