@@ -87,6 +87,7 @@ from .series import (
     mul_q,
     negate,
     one_series,
+    reach,
     series_from_terms,
     sub,
     truncate,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .degrees import Degree, SupportDescriptor, Window, candidate_degrees
 from .homology import _homology_dimensions
 from .modules import FreeModule, ModuleExpr, RingSpec, kseries, ring_hilbert_inverse, shifted_leaves
-from .series import LaurentSeries, eq_on_window, mul, mul_q
+from .series import LaurentSeries, eq_on_window, mul, mul_q, reach
 from .values import Value
 
 
@@ -89,7 +89,7 @@ def serre_product(
             coeffs[g] = value
     alternating = LaurentSeries(window, support, coeffs)
     provenance = f"serre({m.describe(ring)}, {n.describe(ring)})"
-    return KClass(mul_q(ring_hilbert_inverse(ring), alternating), provenance)
+    return KClass(mul_q(ring_hilbert_inverse(ring, reach(alternating)), alternating), provenance)
 
 
 def free_from_series(a: KClass) -> FreeModule:

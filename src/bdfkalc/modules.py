@@ -31,7 +31,7 @@ from .degrees import (
     leq_q,
     unit,
 )
-from .series import LaurentSeries, QSeries, mul_q
+from .series import LaurentSeries, QSeries, mul_q, reach
 from .values import HashedValue, Value
 
 
@@ -196,13 +196,14 @@ def ring_hilbert(ring: RingSpec) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def ring_hilbert_inverse(ring: RingSpec) -> QSeries:
-    """The inverse of H(ring): the polynomial prod_i (1 - t^deg x_i), at most 2^n terms."""
+def ring_hilbert_inverse(ring: RingSpec, window: Window) -> QSeries:
+    """prod_i (1 - t^deg x_i) = 1 / H(ring) on the window, 0 outside; degrees are nonnegative, so a term never re-enters."""
     require_valid(ring)
-    terms = {ZERO: 1}
+    terms = {ZERO: 1} if window.contains(ZERO) else {}
     for v in ring.variables:
         for g, c in list(terms.items()):
-            terms[g + v.degree] = terms.get(g + v.degree, 0) - c
+            if window.contains(h := g + v.degree):
+                terms[h] = terms.get(h, 0) - c
     return QSeries.from_terms(terms, "(H(ring))^-1")
 
 
@@ -476,4 +477,5 @@ def hilbert(module: ModuleExpr, ring: RingSpec, window: Window) -> LaurentSeries
 
 def kseries(module: ModuleExpr, ring: RingSpec, window: Window) -> LaurentSeries:
     """The Hilbert series divided by the ring's: the Grothendieck-ring coordinate."""
-    return mul_q(ring_hilbert_inverse(ring), hilbert(module, ring, window))
+    series = hilbert(module, ring, window)
+    return mul_q(ring_hilbert_inverse(ring, reach(series)), series)

@@ -219,16 +219,20 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(window, a.support + b.support, kept)
 
 
+def reach(s: LaurentSeries) -> Window:
+    """The window moved down by each support lower bound: where a factor's term can land in s's window."""
+    return Window.of(top - lb for top in s.window.ceiling for lb in s.support.lower_bounds)
+
+
 def mul_q(q: QSeries, s: LaurentSeries) -> LaurentSeries:
     """Product of a nonnegative series with a windowed series, exact on its window.
 
     A term q_u * s_v lands at g = u + v with v above a support lower bound
-    lb, so a g in the window needs u only below the window moved by -lb.
-    The loop convolves q, truncated there, with the stored terms of s.
+    lb, so a g in the window needs u only in ``reach(s)``.  The loop
+    convolves q, truncated there, with the stored terms of s.
     """
-    reach = Window.of(top - lb for top in s.window.ceiling for lb in s.support.lower_bounds)
     coeffs: dict[Degree, int] = {}
-    for u, cu in truncate(q, reach).terms:
+    for u, cu in truncate(q, reach(s)).terms:
         for v, cv in s.terms:
             g = u + v
             if s.window.contains(g):

@@ -138,7 +138,7 @@ def flat_serre_series(shifts, n, ring, window: Window):
     piece at g has dimension sum_h dim n_(g - h); the K-series is that
     Hilbert series times the ring's inverse.
     """
-    from bdfkalc import LaurentSeries, graded_piece, mul_q, ring_hilbert_inverse
+    from bdfkalc import LaurentSeries, graded_piece, mul_q, reach, ring_hilbert_inverse
 
     support = SupportDescriptor.of(shifts) + n.lower_bounds(ring)
     coeffs: dict[Degree, int] = {}
@@ -146,7 +146,8 @@ def flat_serre_series(shifts, n, ring, window: Window):
         value = sum(graded_piece(n, ring, g - h).dimension for h in shifts)
         if value:
             coeffs[g] = value
-    return mul_q(ring_hilbert_inverse(ring), LaurentSeries(window, support, coeffs))
+    series = LaurentSeries(window, support, coeffs)
+    return mul_q(ring_hilbert_inverse(ring, reach(series)), series)
 
 
 def ring_inverse_by_subsets(ring) -> dict:
