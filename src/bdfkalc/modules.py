@@ -17,6 +17,7 @@ layers need.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from heapq import merge
 from typing import Iterable, Sequence
 
 from .degrees import (
@@ -250,7 +251,7 @@ class ModuleExpr(HashedValue):
     """
 
     def monomials(self, ring: RingSpec, g: Degree) -> Iterable[Monomial]:
-        """The monomials of this leaf's piece in degree g."""
+        """The monomials of this leaf's piece in degree g, in graded-lex order."""
         raise NotImplementedError
 
     def times(self, m: Monomial, pos: int) -> Monomial | None:
@@ -453,8 +454,9 @@ def shifted_leaves(module: ModuleExpr) -> list[tuple[Degree, ModuleExpr, int | N
 
 @lru_cache(maxsize=None)
 def _graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
-    labels = [(k, m) for k, (shift, leaf, _) in enumerate(shifted_leaves(module)) for m in leaf.monomials(ring, g - shift)]
-    basis = sorted(labels, key=lambda l: (grlex_key(l[1]), l[0]))
+    runs = [[(k, m) for m in leaf.monomials(ring, g - shift)] for k, (shift, leaf, _) in enumerate(shifted_leaves(module))]
+    # each leaf's run is sorted, and merge keeps leaf order among equal monomials
+    basis = runs[0] if len(runs) == 1 else merge(*runs, key=lambda l: grlex_key(l[1]))
     return GradedPiece(g, tuple(basis))
 
 
