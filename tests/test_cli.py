@@ -198,6 +198,17 @@ class TestExitCodes:
         assert json.loads(result.stdout)["coeffs"] == [[[], 1], [[[1, 1]], 3000]]
         assert elapsed < 1.0, f"{elapsed:.2f} s end to end"
 
+    def test_the_kseries_of_a_ring_of_3000_variables_is_one(self, tmp_path):
+        # the ring's inverse is built only on the reach of the window, e1: 1 - 3000 t^e1;
+        # the whole product cost 4.5 million degree additions and about 20 s
+        spec = {"ring": {"columns": [3000]}, "module": {"node": "free", "shifts": [[]]}, "window": [[[1, 1]]]}
+        started = time.perf_counter()
+        result = run_cli("--command", "kseries", spec=spec, tmp_path=tmp_path)
+        elapsed = time.perf_counter() - started
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        assert json.loads(result.stdout)["coeffs"] == [[[], 1]]
+        assert elapsed < 1.0, f"{elapsed:.2f} s end to end"
+
     def test_window_error_for_out_of_window_degree(self, tmp_path):
         spec = dict(MINIMAL, degree=[[1, 9]])
         result = run_cli("--command", "torsion-dim", spec=spec, tmp_path=tmp_path)

@@ -65,7 +65,9 @@ from oracles import (
     dense_rank_mod_p,
     fraction_rank,
     koszul_differential_by_labels,
+    schubert_generators,
     schubert_ring,
+    schubert_window,
     taylor_terms,
 )
 
@@ -880,3 +882,36 @@ class TestBettiBudget:
         # 0.015 s in process (about 0.1 s while every window degree and
         # index was visited), and about 6.5 s with Bareiss on the whole matrix
         self._cold_betti(0, "betti-q")
+
+
+class TestSchubertBudget:
+    """Every degree and index of R/J_1432 on the 4 x 4 matrix Schubert ring, mod 32003, all 16 variables."""
+
+    @staticmethod
+    def _run(command: str) -> tuple[dict, float]:
+        ring = schubert_ring(4)
+        spec = {
+            "ring": {"variables": [{"id": v.name, "degree": v.degree.to_json()} for v in ring.variables]},
+            "module": {"node": "quotient", "gens": [gen.to_json() for gen in schubert_generators((1, 4, 3, 2), 4)]},
+            "window": [u.to_json() for u in schubert_window(4).ceiling],
+            "sequence": list(range(1, 17)),
+        }
+        for cached in (modules.monomials_of_degree, modules._graded_piece, homology._koszul_piece):
+            cached.cache_clear()
+        started = time.perf_counter()
+        output = cli.run_job(cli.parse_spec(json.dumps(spec), command=command, characteristic=32003))
+        return json.loads(output), time.perf_counter() - started
+
+    def test_koszul_verify_is_the_betti_table(self):
+        # 0.6-1.0 s in process; about 25 s while a Koszul piece listed every subset of the 16 variables
+        result, elapsed = self._run("koszul-verify")
+        assert elapsed < 3.0, f"koszul-verify took {elapsed:.2f}s (budget 3s)"
+        # with every variable in the sequence, the Koszul homology is Tor against the residue field
+        found = sorted((i, g, h) for g, dims in result["homology"] for i, h in enumerate(dims) if h)
+        assert found == sorted(tuple(row) for row in self._run("betti")[0]["rows"])
+
+    def test_euler_check_holds(self):
+        # 0.6-1.0 s in process; about 22 s while a Koszul piece listed every subset of the 16 variables
+        result, elapsed = self._run("euler-check")
+        assert elapsed < 3.0, f"euler-check took {elapsed:.2f}s (budget 3s)"
+        assert result["equal"] and len(result["rows"]) > 100
