@@ -1,9 +1,9 @@
 """Koszul complexes on variable subsets, tensored degreewise with a module.
 
-A wedge pairs with a nonzero module piece in degree g only if its degree
-fits under a room g - lb, for a support lower bound lb of the module, as
-variable degrees are nonnegative.  So a Koszul piece holds only the
-wedges that fit, and each degree sees finitely many homological indices.
+A wedge of degree d pairs with the module piece at g - d, which is zero
+unless d fits under a room g - lb for a support lower bound lb.  So a
+Koszul piece holds only the wedges that fit (with a wedge its faces, as
+degrees are nonnegative), and each degree sees finitely many indices.
 
 One engine computes all homology: ``_complex_snapshot`` takes any
 complex with the small degreewise interface (support, index bound,

@@ -146,7 +146,6 @@ class TestRingHilbertInverse:
         for g in candidate_degrees(FULL_Q, window):
             assert got.coeff(g) == expected.coeff(g)
 
-
     @given(small_rings, st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=2))
     @settings(max_examples=40, deadline=None)
     def test_equals_the_full_product_on_a_reach(self, ring, ceilings):
