@@ -91,9 +91,10 @@ class KoszulPiece(Value):
         return sum(len(piece.basis) for _, piece in self.parts)
 
 
-def _rooms(module: ModuleExpr, ring: RingSpec, g: Degree) -> list[Degree]:
-    """g - lb for each support lower bound lb of the module: a wedge fits if its degree lies under one."""
-    return [g - lb for lb in module.lower_bounds(ring).lower_bounds]
+def _rooms(module: ModuleExpr, ring: RingSpec, g: Degree) -> set[Degree]:
+    """g - lb for each support lower bound lb of each shifted leaf: a wedge fits if its degree lies under one."""
+    # a bound above another, which ``lower_bounds`` would drop, has its room inside the other's and changes nothing
+    return {g - shift - lb for shift, leaf, _ in shifted_leaves(module) for lb in leaf.support(ring).lower_bounds}
 
 
 @lru_cache(maxsize=None)
