@@ -220,7 +220,7 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def reach(s: LaurentSeries) -> Window:
-    """The window moved down by each support lower bound: where a factor's term can land in s's window."""
+    """The window of s moved down by each support lower bound: the degrees u that can reach it as u plus a term of s."""
     return Window.of(top - lb for top in s.window.ceiling for lb in s.support.lower_bounds)
 
 
