@@ -15,13 +15,16 @@ the basis, support bounds, variable action and printed form of a module
 tree by a recursive walk over its nodes instead of its shifted leaves,
 the graded-lex order on dense coordinates instead of sparse entries, and
 the K-polynomial of a matrix Schubert variety by divided differences
-instead of a Hilbert series, and the ring's inverse Hilbert series one
-term per subset of the variables instead of factor by factor.
+instead of a Hilbert series, the ring's inverse Hilbert series one
+term per subset of the variables instead of factor by factor, and the
+problems of a variable family read from its (name, degree) pairs instead
+of from a constructed ring.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from bdfkalc import (
@@ -159,6 +162,25 @@ def ring_inverse_by_subsets(ring) -> dict:
             g = sum(subset, ZERO)
             terms[g] = terms.get(g, 0) + (-1) ** size
     return {g: c for g, c in terms.items() if c}
+
+
+def reference_ring_problems(pairs) -> list[str]:
+    """Why these (name, degree) pairs are not a pointed, connected grading, one message per problem.
+
+    Each variable's problem comes in variable order: degree 0 breaks
+    connectedness, a negative entry breaks pointedness.  The repeated
+    names follow, in order of first appearance.
+    """
+    pairs = list(pairs)
+    problems = []
+    for name, deg in pairs:
+        if not deg.entries:
+            problems.append(f"variable {name} has degree 0; the ring would not be connected")
+        elif any(c < 0 for _, c in deg.entries):
+            problems.append(f"variable {name} has degree {deg} outside the nonnegative orthant")
+    counts = Counter(name for name, _ in pairs)
+    problems += [f"variable name {name} appears {n} times" for name, n in counts.items() if n > 1]
+    return problems
 
 
 def exponent_vectors(var_degrees: list[tuple[int, ...]], target: tuple[int, ...]):

@@ -370,6 +370,55 @@ class TestErrorKinds:
         assert exc.__name__ in error["message"]
 
 
+
+def variables_ring(*pairs) -> dict:
+    return {"variables": [{"id": name, "degree": deg} for name, deg in pairs]}
+
+
+# a ring the library refuses, and its validation message
+INVALID_RINGS = [
+    (variables_ring(("x", [[1, 1]]), ("y", [])), "variable y has degree 0; the ring would not be connected"),
+    (
+        variables_ring(("x", [[1, 1]]), ("y", [[1, 1], [2, -1]])),
+        "variable y has degree e1-e2 outside the nonnegative orthant",
+    ),
+    (variables_ring(("x", [[1, 1]]), ("x", [[2, 1]])), "variable name x appears 2 times"),
+    (
+        variables_ring(("x", []), ("y", [[2, -1]]), ("x", [[2, 1]]), ("y", [[1, 1]])),
+        "variable x has degree 0; the ring would not be connected; "
+        "variable y has degree -e2 outside the nonnegative orthant; "
+        "variable name x appears 2 times; variable name y appears 2 times",
+    ),
+]
+
+
+class TestInvalidRing:
+    """A ring that is not pointed and connected is a validation error, under every command."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_ring_alone_is_reported_byte_for_byte(self, command, capsys, tmp_path):
+        for ring, message in INVALID_RINGS:
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(dict(EVERY_COMMAND, ring=ring)))
+            code = cli.main(["--spec", str(path), "--command", command])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_VALIDATION, ""), (command, message)
+            assert captured.err == json.dumps({"error": {"kind": "validation", "message": message}}) + "\n"
+
+    @pytest.mark.parametrize("ring, message", INVALID_RINGS)
+    def test_with_a_malformed_field_the_field_is_reported(self, ring, message, capsys, tmp_path):
+        spec = dict(EVERY_COMMAND, ring=ring, window=[])
+        code, error = run_main(capsys, tmp_path, spec, "--command", "kseries")
+        assert (code, error["kind"]) == (EXIT_PARSE, "parse")
+        assert [detail["where"] for detail in error["details"]] == ["window"]
+
+    @pytest.mark.parametrize("ring, message", INVALID_RINGS)
+    def test_with_a_bad_characteristic_the_characteristic_is_reported(self, ring, message, capsys, tmp_path):
+        spec = dict(EVERY_COMMAND, ring=ring)
+        code, error = run_main(capsys, tmp_path, spec, "--command", "betti", "--char", "4")
+        assert (code, error["kind"]) == (EXIT_VALIDATION, "validation")
+        assert "characteristic" in error["message"]
+
 # A degree or generator the parser rejects, and a word of the rule it breaks.
 BAD_DEGREES = [
     ({"1": 1}, "list"),

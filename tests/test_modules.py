@@ -58,11 +58,13 @@ from oracles import (
     reference_koszul_rows,
     reference_leaf_paths,
     reference_lower_bounds,
+    reference_ring_problems,
     ring_inverse_by_subsets,
     schubert_ring,
 )
 from bdfkalc import cli, homology, modules
 from bdfkalc.degrees import FULL_Q
+from bdfkalc.modules import RingValidationError, require_valid
 from bdfkalc.linalg import matmul, sparse_rows
 
 KXY = RingSpec.standard(2)
@@ -79,6 +81,12 @@ small_rings = st.lists(
     lambda degs: RingSpec.of(
         (f"x{k}", Degree.of(enumerate(d, start=1))) for k, d in enumerate(degs, start=1)
     )
+)
+
+# 0-4 variables named from three letters, so names repeat, each of a degree that may be 0, mixed or negative
+variable_pairs = st.lists(
+    st.tuples(st.sampled_from("abc"), st.dictionaries(st.integers(1, 3), st.integers(-1, 2), max_size=3).map(Degree.of)),
+    max_size=4,
 )
 
 
@@ -101,6 +109,17 @@ class TestValidateRing:
     def test_duplicate_names_flagged(self):
         ring = RingSpec.of([("a", unit(1)), ("a", unit(2))])
         assert not validate_ring(ring).ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(variable_pairs)
+    def test_refused_exactly_when_the_reference_finds_a_problem(self, pairs):
+        problems = reference_ring_problems(pairs)
+        if problems:
+            with pytest.raises(RingValidationError) as info:
+                require_valid(RingSpec.of(pairs))
+            assert str(info.value) == "; ".join(problems)
+        else:
+            require_valid(RingSpec.of(pairs))
 
 
 class TestRingHilbert:
