@@ -59,7 +59,6 @@ from .modules import (
     MonomialIdeal,
     MonomialQuotient,
     RING_MODULE,
-    RingReport,
     RingSpec,
     RingValidationError,
     ShiftedModule,
@@ -72,7 +71,6 @@ from .modules import (
     ring_hilbert,
     ring_hilbert_inverse,
     shifted_leaves,
-    validate_ring,
     variable_quotient,
 )
 from .series import (

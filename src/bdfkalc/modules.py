@@ -1,8 +1,9 @@
 """Multigraded polynomial rings and constructive module expressions.
 
-A ring is a finite family of variables, each with a nonzero nonnegative
-degree; its graded pieces are enumerated as monomials of a fixed
-multidegree.  A monomial is a ``Degree`` whose indices are variable
+A ring is a finite family of distinctly named variables, each with a
+nonzero nonnegative degree; ``RingSpec`` refuses any other family when
+it is made, so every ring in the package is valid.  Its graded pieces
+are enumerated as monomials of a fixed multidegree.  A monomial is a ``Degree`` whose indices are variable
 positions (``Monomial`` names it); the ring turns one into its
 multidegree and its printed form.  Module expressions are built from
 shifted free modules, direct sums, monomial ideals and their quotients.
@@ -16,6 +17,7 @@ layers need.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache
 from heapq import merge
 from typing import Iterable, Sequence
@@ -43,17 +45,37 @@ class Variable(Value):
         self._set(name, degree)
 
 
+class RingValidationError(ValueError):
+    pass
+
+
 class RingSpec(HashedValue):
     """A polynomial ring given by its homogeneous variables.
 
     Variables are addressed by 1-based position in this tuple; the order
     fixes monomial serialization and every deterministic basis order
     downstream.
+
+    The grading must be pointed and connected, so construction refuses a
+    degree of 0 (the degree-0 piece is the base field alone), a degree
+    outside the nonnegative orthant (the image monoid is pointed) and a
+    repeated name.  Per-degree and downward finiteness hold automatically
+    for a finite variable family.
     """
 
     __slots__ = _fields = ("variables",)
 
     def __init__(self, variables: tuple[Variable, ...]) -> None:
+        problems = []
+        for v in variables:
+            if v.degree == ZERO:
+                problems.append(f"variable {v.name} has degree 0; the ring would not be connected")
+            elif not v.degree.is_nonnegative():
+                problems.append(f"variable {v.name} has degree {v.degree} outside the nonnegative orthant")
+        counts = Counter(v.name for v in variables)
+        problems += [f"variable name {name} appears {count} times" for name, count in counts.items() if count > 1]
+        if problems:
+            raise RingValidationError("; ".join(problems))
         self._set(variables)
 
     @staticmethod
@@ -94,51 +116,6 @@ class RingSpec(HashedValue):
             name = self.variables[pos - 1].name
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) or "1"
-
-
-class RingReport(Value):
-    """Validation outcome; each problem names the offending variable."""
-
-    __slots__ = _fields = ("problems",)
-
-    def __init__(self, problems: tuple[str, ...] = ()) -> None:
-        self._set(problems)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-class RingValidationError(ValueError):
-    pass
-
-
-def validate_ring(ring: RingSpec) -> RingReport:
-    """Check the grading is pointed and connected.
-
-    Degrees must be nonzero (connectedness: the degree-0 piece is the
-    base field alone) and nonnegative (pointedness of the image monoid).
-    Per-degree finiteness and downward finiteness hold automatically for
-    a finite variable family.
-    """
-    problems = []
-    seen: dict[str, int] = {}
-    for v in ring.variables:
-        if v.degree == ZERO:
-            problems.append(f"variable {v.name} has degree 0; the ring would not be connected")
-        elif not v.degree.is_nonnegative():
-            problems.append(f"variable {v.name} has degree {v.degree} outside the nonnegative orthant")
-        seen[v.name] = seen.get(v.name, 0) + 1
-    for name, count in seen.items():
-        if count > 1:
-            problems.append(f"variable name {name} appears {count} times")
-    return RingReport(tuple(problems))
-
-
-def require_valid(ring: RingSpec) -> None:
-    report = validate_ring(ring)
-    if not report.ok:
-        raise RingValidationError("; ".join(report.problems))
 
 
 Monomial = Degree  # an exponent vector: its indices are variable positions
@@ -199,7 +176,6 @@ def ring_hilbert(ring: RingSpec) -> QSeries:
 @lru_cache(maxsize=None)
 def ring_hilbert_inverse(ring: RingSpec, window: Window) -> QSeries:
     """prod_i (1 - t^deg x_i) = 1 / H(ring) on the window, 0 outside; degrees are nonnegative, so a term never re-enters."""
-    require_valid(ring)
     terms = {ZERO: 1} if window.contains(ZERO) else {}
     for v in ring.variables:
         for g, c in list(terms.items()):
@@ -467,7 +443,6 @@ def graded_piece(module: ModuleExpr, ring: RingSpec, g: Degree) -> GradedPiece:
 
 def hilbert(module: ModuleExpr, ring: RingSpec, window: Window) -> LaurentSeries:
     """Dimension series of the module's graded pieces on the window."""
-    require_valid(ring)
     support = module.lower_bounds(ring)
     coeffs: dict[Degree, int] = {}
     for g in candidate_degrees(support, window):

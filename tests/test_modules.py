@@ -21,6 +21,7 @@ from bdfkalc import (
     MonomialQuotient,
     RingSpec,
     ShiftedModule,
+    Variable,
     Window,
     add,
     betti_table,
@@ -45,7 +46,6 @@ from bdfkalc import (
     shifted_leaves,
     truncate,
     unit,
-    validate_ring,
     var_action,
     variable_quotient,
 )
@@ -64,7 +64,7 @@ from oracles import (
 )
 from bdfkalc import cli, homology, modules
 from bdfkalc.degrees import FULL_Q
-from bdfkalc.modules import RingValidationError, require_valid
+from bdfkalc.modules import RingValidationError
 from bdfkalc.linalg import matmul, sparse_rows
 
 KXY = RingSpec.standard(2)
@@ -91,24 +91,24 @@ variable_pairs = st.lists(
 
 
 class TestValidateRing:
+    """A ring is valid by construction: ``RingSpec`` refuses a grading that is not pointed and connected."""
+
     def test_matrix_ring_is_valid(self):
         ring = RingSpec.matrix_ring([2, 3, 1])
-        assert validate_ring(ring).ok
+        assert len(ring.variables) == 6
         assert [v.name for v in ring.variables][:3] == ["x[1,1]", "x[2,1]", "x[1,2]"]
 
     def test_degree_zero_variable_breaks_connectedness(self):
-        ring = RingSpec.of([("a", ZERO)])
-        report = validate_ring(ring)
-        assert not report.ok
-        assert "a" in report.problems[0]
+        with pytest.raises(RingValidationError, match="variable a has degree 0"):
+            RingSpec.of([("a", ZERO)])
 
     def test_mixed_sign_degree_is_not_pointed(self):
-        ring = RingSpec.of([("a", degree(1, -1))])
-        assert not validate_ring(ring).ok
+        with pytest.raises(RingValidationError, match="variable a has degree e1-e2 outside"):
+            RingSpec.of([("a", degree(1, -1))])
 
     def test_duplicate_names_flagged(self):
-        ring = RingSpec.of([("a", unit(1)), ("a", unit(2))])
-        assert not validate_ring(ring).ok
+        with pytest.raises(RingValidationError, match="variable name a appears 2 times"):
+            RingSpec.of([("a", unit(1)), ("a", unit(2))])
 
     @settings(max_examples=300, deadline=None)
     @given(variable_pairs)
@@ -116,10 +116,22 @@ class TestValidateRing:
         problems = reference_ring_problems(pairs)
         if problems:
             with pytest.raises(RingValidationError) as info:
-                require_valid(RingSpec.of(pairs))
+                RingSpec.of(pairs)
             assert str(info.value) == "; ".join(problems)
         else:
-            require_valid(RingSpec.of(pairs))
+            assert RingSpec.of(pairs).variables == tuple(Variable(name, deg) for name, deg in pairs)
+
+    def test_only_the_ring_constructor_refuses_a_ring(self):
+        """``RingValidationError`` is raised in ``RingSpec.__init__`` alone, and no separate check is left."""
+        raisers, names = set(), set()
+        for path in sorted(Path(modules.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            raisers |= {f"{path.stem}.{scope}" for scope in _raisers_of(tree, "RingValidationError")}
+            names |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+            names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            names |= {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+        assert raisers == {"modules.RingSpec.__init__"}
+        assert not names & {"validate_ring", "require_valid", "RingReport"}
 
 
 class TestRingHilbert:
@@ -655,6 +667,25 @@ def _self_callers(tree, prefix):
             if calls_itself(node):
                 found.add(f"{prefix}.{node.name}")
             found |= _self_callers(node, f"{prefix}.{node.name}")
+    return found
+
+
+def _raisers_of(tree, exception):
+    """The dotted name (class.function) of each function with a ``raise`` naming ``exception``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.ClassDef):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            if exception in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}:
+                found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
     return found
 
 

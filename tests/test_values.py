@@ -28,7 +28,6 @@ from bdfkalc import (
     LaurentSeries,
     MonomialIdeal,
     MonomialQuotient,
-    RingReport,
     RingSpec,
     ShiftedModule,
     SupportDescriptor,
@@ -58,7 +57,6 @@ def cases():
         (Window, ("ceiling",), ((e1,),), ((e2,),)),
         (Variable, ("name", "degree"), ("x1", e1), ("x1", e2)),
         (RingSpec, ("variables",), (ring2.variables,), (ring3.variables,)),
-        (RingReport, ("problems",), (("bad x1",),), (("bad x2",),)),
         (GradedPiece, ("degree", "basis"), (e1, (label,)), (e2, (label,))),
         (FreeModule, ("shifts",), ((e1,),), ((e2,),)),
         (ShiftedModule, ("inner", "by"), (free, e1), (free, e2)),
@@ -84,7 +82,7 @@ IDS = [case[0].__name__ for case in cases()]
 
 
 def test_every_value_class_is_listed():
-    assert len(set(IDS)) == len(IDS) == 18
+    assert len(set(IDS)) == len(IDS) == 17
 
 
 @pytest.mark.parametrize("index", range(len(IDS)), ids=IDS)
@@ -142,7 +140,6 @@ def test_defaults():
     ring, window = RingSpec.standard(1), Window.of([ZERO])
     assert Degree() == ZERO
     assert SupportDescriptor().is_empty and Window().is_empty
-    assert RingReport().ok
     assert FreeModule().shifts == ()
     series = LaurentSeries(window, SupportDescriptor.of([ZERO]), {ZERO: 1})
     assert KClass(series).provenance == ""
