@@ -220,8 +220,10 @@ def parse_spec(
     """Parse and fully validate a job file.
 
     Raises SpecError with one error for each malformed field, at the first
-    rule that field breaks.  ``threads`` is accepted for compatibility and
-    ignored: every job runs on one thread.
+    rule that field breaks.  A well-formed ring that ``RingSpec`` refuses
+    raises its RingValidationError as it is built, which ends the parse.
+    ``threads`` is accepted for compatibility and ignored: every job runs
+    on one thread.
     """
     try:
         data = json.loads(text)

@@ -3,16 +3,16 @@
 A ring is a finite family of distinctly named variables, each with a
 nonzero nonnegative degree; ``RingSpec`` refuses any other family when
 it is made, so every ring in the package is valid.  Its graded pieces
-are enumerated as monomials of a fixed multidegree.  A monomial is a ``Degree`` whose indices are variable
-positions (``Monomial`` names it); the ring turns one into its
-multidegree and its printed form.  Module expressions are built from
-shifted free modules, direct sums, monomial ideals and their quotients.
-``shifted_leaves`` reads a tree as the direct sum of its shifted leaves,
-and every leaf can list the monomials of its piece in any degree, say how
-a variable acts on them, and produce a finite lower-bound set for its
-support.  The basis of a piece, the action on it and the support bounds
-of a tree are read from its leaves — which is all the homology and series
-layers need.
+are enumerated as monomials of a fixed multidegree.  A monomial is a
+``Degree`` whose indices are variable positions (``Monomial`` names
+it); the ring turns one into its multidegree and its printed form.
+Module expressions are built from shifted free modules, direct sums,
+monomial ideals and their quotients.  ``shifted_leaves`` reads a tree
+as the direct sum of its shifted leaves, and every leaf can list the
+monomials of its piece in any degree, say how a variable acts on them,
+and produce a finite lower-bound set for its support.  The basis of a
+piece, the action on it and the support bounds of a tree are read from
+its leaves — which is all the homology and series layers need.
 """
 
 from __future__ import annotations
