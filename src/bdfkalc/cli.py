@@ -349,7 +349,7 @@ def run_job(job: JobSpec) -> str:
 
     if command == "betti":
         table = betti_table(job.module, job.ring, job.window, job.characteristic)
-        rows = [[i, g.to_json(), value] for i, g, value in table.rows()]
+        rows = [[i, g.to_json(), value] for i, g, value in table.entries]
         return _render(
             output,
             {"rows": rows},

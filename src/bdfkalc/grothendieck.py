@@ -10,8 +10,8 @@ offers.
 
 from __future__ import annotations
 
-from .degrees import Degree, SupportDescriptor, Window, candidate_degrees
-from .homology import _homology_dimensions
+from .degrees import Degree, Window
+from .homology import KoszulTensorComplex, euler_profile
 from .modules import FreeModule, ModuleExpr, RingSpec, kseries, ring_hilbert_inverse, shifted_leaves
 from .series import LaurentSeries, eq_on_window, mul, mul_q, reach
 from .values import Value
@@ -68,8 +68,9 @@ def serre_product(
     quotient has, and linear generators, so a subclass of a node is
     refused.  The Koszul complex on each subset resolves its quotient (the
     empty subset resolves the ring), so the torsion is the Koszul homology
-    of n, moved up by the shift.  The result agrees with the plain product
-    of the two classes on the window.
+    of n, moved up by the shift: each leaf adds the homology column of
+    ``euler_profile`` on the window moved down by its shift.  The result
+    agrees with the plain product of the two classes on the window.
     """
     leaves = shifted_leaves(m)
     if any(syzygy != 0 or any(gen.total() != 1 for gen in leaf.gens) for _, leaf, syzygy in leaves):
@@ -77,16 +78,12 @@ def serre_product(
             "left factor must be a direct sum of shifted free modules "
             "and shifted quotients by variable subsets"
         )
-    summands = [(h, tuple(sorted(gen.max_index() for gen in leaf.gens))) for h, leaf, _ in leaves]
-    support = SupportDescriptor.of(h for h, _ in summands) + n.lower_bounds(ring)
-    coeffs = {}
-    for g in candidate_degrees(support, window):
-        value = 0
-        for h, positions in summands:
-            dims = _homology_dimensions(n, ring, positions, g - h, characteristic)
-            value += sum((-1) ** i * d for i, d in enumerate(dims))
-        if value:
-            coeffs[g] = value
+    support = m.lower_bounds(ring) + n.lower_bounds(ring)
+    coeffs: dict[Degree, int] = {}
+    for h, leaf, _ in leaves:
+        complex_ = KoszulTensorComplex.of(n, ring, [gen.max_index() for gen in leaf.gens])
+        for g, _, chi in euler_profile(complex_, window.translate(-h), characteristic):
+            coeffs[g + h] = coeffs.get(g + h, 0) + chi
     alternating = LaurentSeries(window, support, coeffs)
     provenance = f"serre({m.describe(ring)}, {n.describe(ring)})"
     return KClass(mul_q(ring_hilbert_inverse(ring, reach(alternating)), alternating), provenance)

@@ -226,9 +226,6 @@ class BettiTable(Value):
     def max_index(self) -> int:
         return max((index for index, _, _ in self.entries), default=0)
 
-    def rows(self) -> tuple[tuple[int, Degree, int], ...]:
-        return self.entries
-
     def __str__(self) -> str:
         if not self.entries:
             return "(empty betti table)"

@@ -3,10 +3,12 @@
 A row is a list of (column, value) pairs with nonzero values.  Over the
 rationals and over a prime field alike, rank is taken per diagonal block:
 ``blocks`` groups rows and columns by the connected components of the
-pairs and builds only each block as a dense matrix.  Over the rationals
-a block is eliminated fraction-free (Bareiss), with exact divisions in
-arbitrary-precision integers; over a prime field, by Gaussian elimination
-with modular inverses.  A Koszul differential of a monomial module splits
+pairs and builds only each block as a dense matrix.  One elimination
+serves both fields: each row below the pivot row becomes
+pivot * row - a * (pivot row).  Over the rationals the result is divided
+exactly by the previous pivot (fraction-free, Bareiss), in
+arbitrary-precision integers; over a prime field it is reduced mod p, so
+no inverse is taken.  A Koszul differential of a monomial module splits
 this way by the fine grading, into blocks far smaller than the whole
 matrix, and ``composes_to_zero`` tests a.b = 0 from the pairs alone.
 ``zero_matrix``, ``sparse_rows``, ``matmul`` and ``is_zero`` work on
@@ -97,32 +99,39 @@ def blocks(rows: SparseRows) -> list[IntMatrix]:
 
 def rank_fraction_free(rows: SparseRows) -> int:
     """Rank over the rationals: the sum of the ranks of the diagonal blocks."""
-    return sum(_bareiss(block) for block in blocks(rows))
+    return sum(_eliminate(block, 0) for block in blocks(rows))
 
 
-def _bareiss(matrix: IntMatrix) -> int:
-    """Rank over the rationals via Bareiss elimination (exact divisions)."""
-    rows = [list(map(int, row)) for row in matrix]
+def _eliminate(block: IntMatrix, p: int) -> int:
+    """Rank of a dense block over the rationals (p = 0) or over the field with p elements.
+
+    Each row below the pivot row becomes pivot * row - a * (pivot row),
+    where a is its entry in the pivot column.  Over the rationals the
+    result is divided exactly by the previous pivot (Bareiss), so entries
+    stay integers; over F_p (p a certified prime) it is reduced mod p, and
+    a row with a = 0 is left as it is, so no inverse is needed.
+    """
+    rows = [[entry % p for entry in row] if p else list(row) for row in block]
     m = len(rows)
     n = len(rows[0]) if rows else 0
     rank = 0
     prev = 1
-    r = 0
     for col in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
+        pivot_row = next((i for i in range(rank, m) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, m):
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        top = rows[rank]
+        pivot = top[col]
+        for row in rows[rank + 1 :]:
+            a = row[col]
+            if p and not a:
+                continue
             for j in range(col + 1, n):
-                rows[i][j] = (pivot * rows[i][j] - rows[i][col] * rows[r][j]) // prev
-            rows[i][col] = 0
+                entry = pivot * row[j] - a * top[j]
+                row[j] = entry % p if p else entry // prev
         prev = pivot
         rank += 1
-        r += 1
-        if r == m:
-            break
     return rank
 
 
@@ -178,32 +187,7 @@ def check_characteristic(p: int) -> None:
 def rank_mod_p(rows: SparseRows, p: int) -> int:
     """Rank over the field with p elements: the sum of the ranks of the diagonal blocks."""
     _check_prime(p)
-    return sum(_eliminate_mod_p(block, p) for block in blocks(rows))
-
-
-def _eliminate_mod_p(matrix: IntMatrix, p: int) -> int:
-    """Rank over the field with p elements by Gaussian elimination; p is a certified prime."""
-    rows = [[entry % p for entry in row] for row in matrix]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    rank = 0
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        for i in range(r + 1, m):
-            factor = (rows[i][col] * inv) % p
-            if factor:
-                for j in range(col, n):
-                    rows[i][j] = (rows[i][j] - factor * rows[r][j]) % p
-        rank += 1
-        r += 1
-        if r == m:
-            break
-    return rank
+    return sum(_eliminate(block, p) for block in blocks(rows))
 
 
 def rank(rows: SparseRows, characteristic: int = 0) -> int:

@@ -235,7 +235,7 @@ class ModuleExpr(HashedValue):
         raise NotImplementedError
 
     def support(self, ring: RingSpec) -> SupportDescriptor:
-        """Lower bounds of this leaf's support."""
+        """Lower bounds of this leaf's support; ValueError if it names a variable beyond the ring."""
         raise NotImplementedError
 
     def _printed(self, ring: RingSpec) -> tuple[str | ModuleExpr, ...]:
@@ -321,13 +321,25 @@ def _reduced_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(ordered)
 
 
-class MonomialIdeal(ModuleExpr):
-    """The ideal spanned by the monomials divisible by some generator."""
+class _GeneratedLeaf(ModuleExpr):
+    """A leaf given by monomial generators, whose positions must be variables of the ring."""
 
     _fields = ("gens",)
 
     def __init__(self, gens: tuple[Monomial, ...]) -> None:
         self._set(gens)
+
+    @cached_property
+    def _last_position(self) -> int:
+        return max((gen.max_index() for gen in self.gens), default=0)
+
+    def _check_positions(self, ring: RingSpec) -> None:
+        if self._last_position > len(ring.variables):
+            raise ValueError(f"position {self._last_position} exceeds the {len(ring.variables)} ring variables")
+
+
+class MonomialIdeal(_GeneratedLeaf):
+    """The ideal spanned by the monomials divisible by some generator."""
 
     @staticmethod
     def of(gens: Iterable[Monomial]) -> "MonomialIdeal":
@@ -340,19 +352,15 @@ class MonomialIdeal(ModuleExpr):
         return m + unit(pos)
 
     def support(self, ring):
+        self._check_positions(ring)
         return SupportDescriptor.of(ring.degree(gen) for gen in self.gens)
 
     def _printed(self, ring):
         return ("ideal(" + ", ".join(map(ring.describe, self.gens)) + ")",)
 
 
-class MonomialQuotient(ModuleExpr):
+class MonomialQuotient(_GeneratedLeaf):
     """The ring modulo a monomial ideal: monomials no generator divides."""
-
-    _fields = ("gens",)
-
-    def __init__(self, gens: tuple[Monomial, ...]) -> None:
-        self._set(gens)
 
     @staticmethod
     def of(gens: Iterable[Monomial]) -> "MonomialQuotient":
@@ -383,6 +391,7 @@ class MonomialQuotient(ModuleExpr):
         return {pos: tuple(gens) for pos, gens in table.items()}
 
     def support(self, ring):
+        self._check_positions(ring)
         return FULL_Q
 
     def _printed(self, ring):

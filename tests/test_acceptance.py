@@ -165,7 +165,7 @@ def test_criterion_5_quotient_by_xy():
     assert eq_on_window(kseries(module, ring, window), expected, window)
 
     table = betti_table(module, ring, window)
-    assert table.rows() == ((0, ZERO, 1), (1, degree(1, 1), 1))
+    assert table.entries == ((0, ZERO, 1), (1, degree(1, 1), 1))
     report(5, "K-series and Betti table of the plane quotient", started, limit=2.0)
 
 

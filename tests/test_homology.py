@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -164,6 +165,7 @@ class TestLinalg:
     @example([[0, 0], [0, 0]])
     @example([[7]])
     @example([[32003]])
+    @example([[1, 1], [1, 3]])  # determinant 2: the row update runs
     def test_rank_mod_p_matches_whole_matrix_elimination(self, matrix):
         for p in (2, 3, 32003):
             assert rank_mod_p(sparse_rows(matrix), p) == dense_rank_mod_p(matrix, p)
@@ -175,6 +177,7 @@ class TestLinalg:
     @example([[0, 0], [0, 0]])
     @example([[7]])
     @example([[32003]])
+    @example([[1, 1], [1, 3]])  # determinant 2: the row update runs
     def test_rank_over_q_matches_whole_matrix_elimination(self, matrix):
         assert rank_fraction_free(sparse_rows(matrix)) == fraction_rank(matrix)
 
@@ -223,6 +226,10 @@ class TestLinalg:
         assert rank_fraction_free(sparse_rows([[2]])) == 1
         assert rank_mod_p(sparse_rows([[2]]), 2) == 0
         assert rank_mod_p(sparse_rows([[2]]), 3) == 1
+        # determinant 2, so the one row update leaves a zero row exactly mod 2
+        assert rank_fraction_free(sparse_rows([[1, 1], [1, 3]])) == 2
+        assert rank_mod_p(sparse_rows([[1, 1], [1, 3]]), 2) == 1
+        assert rank_mod_p(sparse_rows([[1, 1], [1, 3]]), 3) == 2
 
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
@@ -477,12 +484,12 @@ class TestBettiTable:
         ring = RingSpec.standard(1)
         module = MonomialQuotient.of([Monomial(((1, 2),))])
         table = betti_table(module, ring, Window.of([degree(4)]))
-        assert table.rows() == ((0, ZERO, 1), (1, degree(2), 1))
+        assert table.entries == ((0, ZERO, 1), (1, degree(2), 1))
 
     def test_characteristic_two_agrees_here(self):
         plain = betti_table(XY, KXY, W33)
         mod2 = betti_table(XY, KXY, W33, characteristic=2)
-        assert plain.rows() == mod2.rows()
+        assert plain.entries == mod2.entries
 
 
 RP2_FACETS = [
@@ -811,6 +818,34 @@ class TestShapeCheck:
     def test_wrong_row_count_names_the_index_and_the_degree(self, rows):
         with pytest.raises(ValueError, match=f"^differential 1 at {unit(1)} "):
             homology_profile(_WrongRowCount(rows), W33)
+
+
+def _names_from_homology(tree, names):
+    """Which of ``names`` a module imports from ``homology`` or reads as ``homology.<name>``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "homology":
+            found |= {alias.name for alias in node.names} & names
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "homology":
+            found |= {node.attr} & names
+    return found
+
+
+class TestHomologyBoundary:
+    def test_no_other_module_names_a_private_function_of_homology(self):
+        """Other layers reach homology through its public functions and complexes, never its internals."""
+        source = Path(homology.__file__)
+        private = {
+            node.name
+            for node in ast.parse(source.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        }
+        found = {}
+        for path in sorted(source.parent.glob("*.py")):
+            names = _names_from_homology(ast.parse(path.read_text(encoding="utf-8")), private)
+            if names and path != source:
+                found[path.name] = names
+        assert found == {}
 
 
 class TestEuler:

@@ -16,6 +16,7 @@ from bdfkalc import (
     Degree,
     DirectSum,
     FreeModule,
+    KoszulTensorComplex,
     Monomial,
     MonomialIdeal,
     MonomialQuotient,
@@ -30,6 +31,7 @@ from bdfkalc import (
     eq_on_window,
     graded_piece,
     hilbert,
+    homology_profile,
     invert,
     koszul_differential,
     koszul_index_bound,
@@ -44,6 +46,7 @@ from bdfkalc import (
     serre_product,
     series_from_terms,
     shifted_leaves,
+    tor_k,
     truncate,
     unit,
     var_action,
@@ -553,6 +556,37 @@ class TestShiftedLeaves:
             callers |= {f"{path.stem}.{name}" for name in _dense_callers(tree)}
         assert not [key for key in keys if _dense_callers(key)]
         assert callers == {"modules.monomials_of_degree"}
+
+
+BEYOND_KXY = MonomialQuotient.of([Monomial(((5, 1),))])  # x5 on a ring of two variables
+W22 = Window.of([degree(2, 2)])
+
+
+class TestPositionsBeyondTheRing:
+    """A leaf that names a variable the ring lacks is refused where its support is read, on every library route."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda m: hilbert(m, KXY, W22),
+            lambda m: kseries(m, KXY, W22),
+            lambda m: betti_table(m, KXY, W22),
+            lambda m: homology_profile(KoszulTensorComplex.of(m, KXY), W22),
+            lambda m: tor_k(m, KXY, 0, ZERO),
+            lambda m: serre_product(m, RING_MODULE, KXY, W22),
+            lambda m: serre_product(RING_MODULE, m, KXY, W22),
+        ],
+        ids=["hilbert", "kseries", "betti_table", "homology_profile", "tor_k", "serre_left", "serre_right"],
+    )
+    def test_every_route_raises_the_parsers_message(self, compute):
+        with pytest.raises(ValueError, match="^position 5 exceeds the 2 ring variables$"):
+            compute(BEYOND_KXY)
+
+    def test_an_ideal_is_refused_as_well(self):
+        ideal = MonomialIdeal.of([Monomial(((3, 1),))])
+        for compute in (hilbert, betti_table):
+            with pytest.raises(ValueError, match="^position 3 exceeds the 2 ring variables$"):
+                compute(ideal, KXY, W22)
 
 
 R3 = RingSpec.standard(3)
