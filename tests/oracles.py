@@ -16,7 +16,9 @@ tree by a recursive walk over its nodes instead of its shifted leaves,
 the graded-lex order on dense coordinates instead of sparse entries, and
 the K-polynomial of a matrix Schubert variety by divided differences
 instead of a Hilbert series, the ring's inverse Hilbert series one
-term per subset of the variables instead of factor by factor, and the
+term per subset of the variables instead of factor by factor, the
+inverse of a polynomial as the geometric sum of powers of 1 - q instead
+of a recursion on its terms, and the
 problems of a variable family read from its (name, degree) pairs instead
 of from a constructed ring.
 """
@@ -162,6 +164,23 @@ def ring_inverse_by_subsets(ring) -> dict:
             g = sum(subset, ZERO)
             terms[g] = terms.get(g, 0) + (-1) ** size
     return {g: c for g, c in terms.items() if c}
+
+
+def inverse_by_geometric_sum(terms: dict, window: Window) -> dict:
+    """1/q on the window as sum_k (1 - q)^k, for q with constant term 1 and nonnegative terms.
+
+    Every term of (1 - q)^k has total degree at least k, and a product of
+    nonnegative degrees never re-enters a downward-closed window, so each
+    power is kept on the window and the sum stops at the first empty one.
+    """
+    step = {g: -c for g, c in terms.items() if g != ZERO and window.contains(g)}
+    total: dict[Degree, int] = {ZERO: 1} if window.contains(ZERO) else {}
+    power = dict(total)
+    while power:
+        power = {g: c for g, c in convolve(power, step).items() if window.contains(g)}
+        for g, c in power.items():
+            total[g] = total.get(g, 0) + c
+    return {g: c for g, c in total.items() if c}
 
 
 def reference_ring_problems(pairs) -> list[str]:

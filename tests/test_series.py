@@ -31,7 +31,7 @@ from bdfkalc import (
     truncate,
     zero_series,
 )
-from oracles import convolve, lazy_mul_q, random_series, random_window
+from oracles import convolve, inverse_by_geometric_sum, lazy_mul_q, random_degree, random_series, random_window
 
 W33 = Window.of([degree(3, 3)])
 
@@ -275,6 +275,26 @@ class TestInvert:
             q = QSeries.from_terms(terms)
             product = mul_q(q, truncate(invert(q), w))
             assert eq_on_window(product, one_series(w), w)
+
+
+class TestInvertMatchesGeometricSum:
+    """``truncate(invert(q), w)`` against the sum of the powers of 1 - q, term for term."""
+
+    @pytest.mark.parametrize("ceilings", [1, 2])
+    def test_random_polynomials(self, ceilings):
+        rng = random.Random(31 + ceilings)
+        for _ in range(40):
+            coords = rng.randint(1, 3)
+            window = Window.of([])
+            while len(window.ceiling) < ceilings:
+                window = Window.of(random_degree(rng, coords, 0, 4) for _ in range(ceilings))
+            terms = {ZERO: 1}
+            for _ in range(rng.randint(0, 5)):
+                g = random_degree(rng, coords, 0, 3)
+                if g != ZERO:
+                    terms[g] = rng.choice([-2, -1, 1, 2])
+            got = truncate(invert(QSeries.from_terms(terms)), window)
+            assert dict(got.terms) == inverse_by_geometric_sum(terms, window)
 
 
 class TestEqOnWindow:
