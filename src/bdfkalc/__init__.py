@@ -15,9 +15,7 @@ from .degrees import (
     WindowError,
     candidate_degrees,
     componentwise_min,
-    decompositions,
     degree,
-    enumerate_downset_q,
     grlex_sorted,
     leq_q,
     unit,
@@ -87,7 +85,6 @@ from .series import (
     one_series,
     reach,
     series_from_terms,
-    sub,
     truncate,
     zero_series,
 )

@@ -180,8 +180,8 @@ def grlex_sorted(degrees: Iterable[Degree]) -> list[Degree]:
     """Sort by :func:`grlex_key`.
 
     This is a linear extension of the partial order: g strictly below h
-    forces total(g) < total(h), so the recursion in series inversion may
-    walk any downset in this order.
+    forces total(g) < total(h), so every degree comes after all the
+    degrees below it.
     """
     return sorted(degrees, key=grlex_key)
 
@@ -192,11 +192,6 @@ def _box(lo: Degree, hi: Degree) -> list[Degree]:
     indices = sorted(low.keys() | high.keys())
     ranges = [range(low.get(i, 0), high.get(i, 0) + 1) for i in indices]
     return [Degree(tuple((i, c) for i, c in zip(indices, combo) if c)) for combo in itertools.product(*ranges)]
-
-
-def enumerate_downset_q(u: Degree) -> list[Degree]:
-    """All of Q below u, in graded-lex order; empty when u has a negative component."""
-    return grlex_sorted(_box(ZERO, u))
 
 
 class SupportDescriptor(Value):
@@ -281,14 +276,3 @@ def candidate_degrees(support: SupportDescriptor, window: Window) -> list[Degree
     """
     return grlex_sorted({g for lb in support.lower_bounds for u in window.ceiling for g in _box(lb, u)})
 
-
-def decompositions(
-    g: Degree, a: SupportDescriptor, b: SupportDescriptor
-) -> list[tuple[Degree, Degree]]:
-    """All pairs (u, v) with u in a's cones, v in b's cones, u + v = g, by u in graded-lex order.
-
-    Finiteness: u is pinned in the box between some lower bound la of a
-    and g minus some lower bound lb of b.
-    """
-    found = {u for la in a.lower_bounds for lb in b.lower_bounds for u in _box(la, g - lb)}
-    return [(u, g - u) for u in grlex_sorted(found)]

@@ -246,13 +246,18 @@ def betti_table(
     Per degree, homological indices run up to the finite wedge bound, so
     the table is total on its domain.  Where ``_taylor_support`` knows the
     module, only the degrees and indices of its Taylor resolution are
-    visited; every other Betti number is zero.  Each differential that is
-    built is checked against its neighbours for d.d = 0.
+    visited, and the window is never listed; every other Betti number is
+    zero.  Each differential that is built is checked against its
+    neighbours for d.d = 0.
     """
     seq = all_variables(ring)
-    degrees = candidate_degrees(module.lower_bounds(ring), window)
+    # the bounds refuse a leaf beyond the ring before the Taylor closure reads its degrees
+    bounds = module.lower_bounds(ring)
     support = _taylor_support(module, ring, window)
-    visits = [(g, None) for g in degrees] if support is None else [(g, support[g]) for g in degrees if g in support]
+    if support is None:
+        visits = [(g, None) for g in candidate_degrees(bounds, window)]
+    else:
+        visits = [(g, support[g]) for g in grlex_sorted(support)]
     entries = [
         (i, g, value)
         for g, indices in visits

@@ -173,20 +173,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise CharacteristicError(f"characteristic must be 0 or a prime, got {p}")
-
-
 def check_characteristic(p: int) -> None:
     """Raise CharacteristicError unless p is 0 or a prime."""
-    if p != 0:
-        _check_prime(p)
+    if p != 0 and not is_prime(p):
+        raise CharacteristicError(f"characteristic must be 0 or a prime, got {p}")
 
 
 def rank_mod_p(rows: SparseRows, p: int) -> int:
     """Rank over the field with p elements: the sum of the ranks of the diagonal blocks."""
-    _check_prime(p)
+    if not is_prime(p):
+        raise CharacteristicError(f"rank mod p needs a prime p, got {p}")
     return sum(_eliminate(block, p) for block in blocks(rows))
 
 

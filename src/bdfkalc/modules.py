@@ -334,6 +334,7 @@ class _GeneratedLeaf(ModuleExpr):
         return max((gen.max_index() for gen in self.gens), default=0)
 
     def _check_positions(self, ring: RingSpec) -> None:
+        """Refuse a generator beyond the ring; read before the leaf lists a piece, prints or bounds its support."""
         if self._last_position > len(ring.variables):
             raise ValueError(f"position {self._last_position} exceeds the {len(ring.variables)} ring variables")
 
@@ -346,6 +347,7 @@ class MonomialIdeal(_GeneratedLeaf):
         return MonomialIdeal(_reduced_gens(gens))
 
     def monomials(self, ring, g):
+        self._check_positions(ring)
         return [m for m in monomials_of_degree(ring, g) if any(leq_q(gen, m) for gen in self.gens)]
 
     def times(self, m, pos):
@@ -356,6 +358,7 @@ class MonomialIdeal(_GeneratedLeaf):
         return SupportDescriptor.of(ring.degree(gen) for gen in self.gens)
 
     def _printed(self, ring):
+        self._check_positions(ring)
         return ("ideal(" + ", ".join(map(ring.describe, self.gens)) + ")",)
 
 
@@ -367,6 +370,7 @@ class MonomialQuotient(_GeneratedLeaf):
         return MonomialQuotient(_reduced_gens(gens))
 
     def monomials(self, ring, g):
+        self._check_positions(ring)
         return [m for m in monomials_of_degree(ring, g) if not any(leq_q(gen, m) for gen in self.gens)]
 
     def times(self, m, pos):
@@ -395,6 +399,7 @@ class MonomialQuotient(_GeneratedLeaf):
         return FULL_Q
 
     def _printed(self, ring):
+        self._check_positions(ring)
         return ("quotient(" + ", ".join(map(ring.describe, self.gens)) + ")" if self.gens else "ring",)
 
 

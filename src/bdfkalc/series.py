@@ -7,7 +7,8 @@ nothing there.  A :class:`QSeries` is a total, lazily memoized coefficient
 oracle supported on the nonnegative orthant; ring-level series (a ring's
 Hilbert series, and its inverse, a finite polynomial built by ``from_terms``)
 are of this kind so that products against windowed series stay exact on
-the windowed factor's full window.
+the windowed factor's full window.  A polynomial keeps its finite table of
+terms, and ``invert`` reads only those terms.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .degrees import (
     Window,
     WindowError,
     candidate_degrees,
-    enumerate_downset_q,
     grlex_sorted,
+    leq_q,
 )
 
 
 class NotInvertibleError(ValueError):
-    """Inversion needs a series with constant coefficient exactly 1."""
+    """Inversion needs a polynomial with constant coefficient exactly 1."""
 
 
 class QSeries:
@@ -36,15 +37,22 @@ class QSeries:
 
     Coefficients come from a deterministic oracle and are memoized.
     Degrees outside the nonnegative orthant return 0 without consulting
-    the oracle.
+    the oracle.  ``terms`` is the finite table of a polynomial built by
+    ``from_terms``, and None for any other oracle.
     """
 
-    __slots__ = ("_oracle", "_memo", "description")
+    __slots__ = ("_oracle", "_memo", "description", "terms")
 
-    def __init__(self, oracle: Callable[[Degree], int], description: str = "series"):
+    def __init__(
+        self,
+        oracle: Callable[[Degree], int],
+        description: str = "series",
+        terms: dict[Degree, int] | None = None,
+    ):
         self._oracle = oracle
         self._memo: dict[Degree, int] = {}
         self.description = description
+        self.terms = terms
 
     def coeff(self, g: Degree) -> int:
         if not g.is_nonnegative():
@@ -61,11 +69,11 @@ class QSeries:
             if not g.is_nonnegative():
                 raise ValueError(f"term at {g} lies outside the nonnegative orthant")
         table = {g: int(c) for g, c in terms.items() if c}
-        return QSeries(lambda g: table.get(g, 0), description)
+        return QSeries(lambda g: table.get(g, 0), description, table)
 
     @staticmethod
     def one() -> "QSeries":
-        return QSeries(lambda g: 1 if g == ZERO else 0, "1")
+        return QSeries.from_terms({ZERO: 1}, "1")
 
     def __repr__(self) -> str:
         return f"QSeries({self.description})"
@@ -109,13 +117,6 @@ class LaurentSeries:
     @property
     def is_zero(self) -> bool:
         return not self._table
-
-    def restricted(self, window: Window) -> "LaurentSeries":
-        """The same series on a smaller window."""
-        if not self.window.covers(window):
-            raise WindowError("restriction window exceeds the valid region")
-        kept = {g: c for g, c in self.terms if window.contains(g)}
-        return LaurentSeries(window, self.support, kept)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality; for mathematical comparison use eq_on_window."""
@@ -184,10 +185,6 @@ def negate(a: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(a.window, a.support, {g: -c for g, c in a.terms})
 
 
-def sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return add(a, negate(b))
-
-
 def _product_window(a: LaurentSeries, b: LaurentSeries) -> Window:
     # below every translate of the partner window by a support lower bound,
     # all pairs contributing to a coefficient are readable from the factors
@@ -202,10 +199,10 @@ def _product_window(a: LaurentSeries, b: LaurentSeries) -> Window:
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """Convolution product, valid on the conservative window.
 
-    The coefficient at g is the finite sum of products over all
-    decompositions of g across the two supports; on the returned window
-    every contributing pair lies inside the factors' windows, so the
-    stored terms determine the product exactly.
+    The coefficient at g is the finite sum of products over all ways of
+    writing g as u + v with u and v in the two supports; on the returned
+    window every contributing pair lies inside the factors' windows, so
+    the stored terms determine the product exactly.
     """
     window = _product_window(a, b)
     if window.is_empty:
@@ -241,28 +238,33 @@ def mul_q(q: QSeries, s: LaurentSeries) -> LaurentSeries:
 
 
 def invert(q: QSeries) -> QSeries:
-    """Two-sided inverse of a series with constant coefficient 1.
+    """Two-sided inverse of a polynomial with constant coefficient 1.
 
-    The coefficient below g is filled in along the graded-lex order of the
-    downset of g; each step only consults strictly smaller degrees, which
-    the order has already produced.
+    The inverse f satisfies f(0) = 1 and f(u) = -sum q_t f(u - t) over the
+    polynomial's terms t != 0 with t <= u, so each coefficient reads one
+    smaller degree per term.  Values are memoized, and degrees still
+    missing wait on an explicit stack, since the chain down to 0 is as
+    long as the total degree.
     """
-    if q.coeff(ZERO) != 1:
+    if q.terms is None:
+        raise NotInvertibleError(f"only a polynomial can be inverted, not {q.description}")
+    if q.terms.get(ZERO) != 1:
         raise NotInvertibleError("constant coefficient must be 1 to invert")
+    steps = [(t, c) for t, c in q.terms.items() if t != ZERO]
     known: dict[Degree, int] = {ZERO: 1}
 
     def entry(g: Degree) -> int:
-        if g in known:
-            return known[g]
-        for u in enumerate_downset_q(g):
+        stack = [g]
+        while stack:
+            u = stack.pop()
             if u in known:
                 continue
-            acc = 0
-            for p in enumerate_downset_q(u):
-                if p == u:
-                    continue
-                acc += known[p] * q.coeff(u - p)
-            known[u] = -acc
+            below = [(u - t, c) for t, c in steps if leq_q(t, u)]
+            missing = [v for v, _ in below if v not in known]
+            if missing:
+                stack += [u, *missing]
+            else:
+                known[u] = -sum(c * known[v] for v, c in below)
         return known[g]
 
     return QSeries(entry, f"({q.description})^-1")

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bdfkalc import (
@@ -11,9 +11,7 @@ from bdfkalc import (
     Window,
     candidate_degrees,
     componentwise_min,
-    decompositions,
     degree,
-    enumerate_downset_q,
     grlex_sorted,
     leq_q,
     unit,
@@ -143,27 +141,32 @@ class TestOrder:
         assert leq_q(m, g) and leq_q(m, h)
 
 
+def downset(u):
+    """All of Q below u, as the candidate degrees of the full cone under the one ceiling u."""
+    return candidate_degrees(SupportDescriptor.of([ZERO]), Window.of([u]))
+
+
 class TestDownset:
     def test_unit_box(self):
-        got = enumerate_downset_q(degree(1, 1))
+        got = downset(degree(1, 1))
         assert got == [ZERO, degree(0, 1), degree(1, 0), degree(1, 1)]
 
     def test_negative_component_gives_empty(self):
-        assert enumerate_downset_q(degree(-1, 0)) == []
+        assert downset(degree(-1, 0)) == []
 
     def test_single_axis(self):
-        assert enumerate_downset_q(degree(2)) == [ZERO, degree(1), degree(2)]
+        assert downset(degree(2)) == [ZERO, degree(1), degree(2)]
 
     def test_matches_bruteforce_box(self):
         u = degree(2, 1, 2)
         expected = {
             degree(a, b, c) for a in range(3) for b in range(2) for c in range(3)
         }
-        assert set(enumerate_downset_q(u)) == expected
+        assert set(downset(u)) == expected
 
     @given(small_q)
     def test_cardinality_and_membership(self, u):
-        down = enumerate_downset_q(u)
+        down = downset(u)
         size = 1
         for _, c in u.entries:
             size *= c + 1
@@ -172,7 +175,7 @@ class TestDownset:
 
     @given(small_q)
     def test_graded_lex_order(self, u):
-        down = enumerate_downset_q(u)
+        down = downset(u)
         assert down == in_reference_order(down, u.max_index())
         totals = [d.total() for d in down]
         assert totals == sorted(totals)
@@ -196,18 +199,6 @@ class TestGradedLexOrder:
         hi = from_dense([max(u.coeff(i) for u in ceilings) for i in (1, 2, 3)])
         inside = [g for g in dense_box(lo, hi, 3) if support.contains(g) and window.contains(g)]
         assert candidate_degrees(support, window) == in_reference_order(inside, 3)
-
-    @given(
-        st.lists(st.integers(-2, 3), min_size=3, max_size=3).map(from_dense),
-        st.lists(st.lists(st.integers(-2, 1), min_size=3, max_size=3).map(from_dense), min_size=1, max_size=2),
-        st.lists(st.lists(st.integers(-2, 1), min_size=3, max_size=3).map(from_dense), min_size=1, max_size=2),
-    )
-    def test_decompositions_are_the_box_filtered_in_reference_order_of_u(self, g, a_bounds, b_bounds):
-        a, b = SupportDescriptor.of(a_bounds), SupportDescriptor.of(b_bounds)
-        lo = from_dense([min(la.coeff(i) for la in a_bounds) for i in (1, 2, 3)])
-        hi = from_dense([max((g - lb).coeff(i) for lb in b_bounds) for i in (1, 2, 3)])
-        us = [u for u in dense_box(lo, hi, 3) if a.contains(u) and b.contains(g - u)]
-        assert decompositions(g, a, b) == [(u, g - u) for u in in_reference_order(us, 3)]
 
 
 class TestSupportDescriptor:
@@ -235,7 +226,7 @@ class TestSupportDescriptor:
         a = SupportDescriptor.of([g])
         b = SupportDescriptor.of([h])
         total = a + b
-        for p in enumerate_downset_q(degree(1, 1)):
+        for p in downset(degree(1, 1)):
             assert total.contains(g + h + p)
 
 
@@ -262,33 +253,3 @@ class TestWindow:
         assert got == in_reference_order(got, 2)
         assert set(got) == {degree(1, 0), degree(2, 0), degree(1, 1), degree(2, 1)}
 
-
-class TestDecompositions:
-    def test_unit_square(self):
-        q = SupportDescriptor.of([ZERO])
-        pairs = decompositions(degree(1, 1), q, q)
-        assert set(pairs) == {
-            (ZERO, degree(1, 1)),
-            (degree(1, 0), degree(0, 1)),
-            (degree(0, 1), degree(1, 0)),
-            (degree(1, 1), ZERO),
-        }
-
-    def test_origin_splits_trivially(self):
-        q = SupportDescriptor.of([ZERO])
-        assert decompositions(ZERO, q, q) == [(ZERO, ZERO)]
-
-    def test_unreachable_degree(self):
-        a = SupportDescriptor.of([degree(2, 0)])
-        b = SupportDescriptor.of([degree(0, 2)])
-        assert decompositions(degree(1, 1), a, b) == []
-
-    @given(small_q, small_q, small_q)
-    @settings(max_examples=50)
-    def test_pairs_sum_and_swap_symmetry(self, g, la, lb):
-        a = SupportDescriptor.of([la])
-        b = SupportDescriptor.of([lb])
-        forward = decompositions(g, a, b)
-        assert all(u + v == g for u, v in forward)
-        backward = decompositions(g, b, a)
-        assert set(forward) == {(v, u) for u, v in backward}

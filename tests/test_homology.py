@@ -266,6 +266,14 @@ class TestCharacteristicCheck:
             with pytest.raises(CharacteristicError):
                 check_characteristic(p)
 
+    def test_each_check_names_what_it_accepts(self):
+        with pytest.raises(CharacteristicError, match="^characteristic must be 0 or a prime, got 4$"):
+            check_characteristic(4)
+        # rank mod p has no characteristic 0, so its message does not offer it
+        for p in (0, 4):
+            with pytest.raises(CharacteristicError, match=f"^rank mod p needs a prime p, got {p}$"):
+                rank_mod_p(sparse_rows([[1]]), p)
+
     def test_beyond_the_certified_range_rejected(self):
         # the first bound is composite yet passes all 13 bases; the second is prime
         for n in (3317044064679887385961981, 3317044064679887385962123):
@@ -917,6 +925,19 @@ class TestBettiBudget:
         # 0.015 s in process (about 0.1 s while every window degree and
         # index was visited), and about 6.5 s with Bareiss on the whole matrix
         self._cold_betti(0, "betti-q")
+
+    def test_a_window_too_large_to_list(self):
+        # the visits come from the Taylor support alone: R/(xy) has terms at 0 and e1+e2,
+        # while the window below (10^4, 10^4) holds about 10^8 degrees; listing the
+        # 90,601 degrees below (300, 300) alone took about 0.45 s
+        top = degree(10**4, 10**4)
+        started = time.perf_counter()
+        table = betti_table(XY, KXY, Window.of([top]))
+        depth = torsion_dimension(XY, KXY, top, Window.of([top]))
+        elapsed = time.perf_counter() - started
+        assert table.entries == ((0, ZERO, 1), (1, degree(1, 1), 1))
+        assert depth == 1
+        assert elapsed < 1.0, f"betti and torsion-dim took {elapsed:.2f}s (budget 1s)"
 
 
 class TestSchubertBudget:
