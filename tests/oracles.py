@@ -10,7 +10,10 @@ differentials built entry by entry from (positions, label) lookups
 instead of the module's variable action, the Serre product of a free left
 factor read off the right factor's graded pieces instead of its Koszul
 homology, the degrees of a monomial module's Taylor resolution from every
-subset of its generators instead of a closure pruned by the window, and
+subset of its generators instead of a closure pruned by the window, the
+K-polynomial of a module tree as the alternating sum of those Taylor
+terms, with multiplicity, instead of a Hilbert series or Koszul
+homology, and
 the basis, support bounds, variable action and printed form of a module
 tree by a recursive walk over its nodes instead of its shifted leaves,
 the graded-lex order on dense coordinates instead of sparse entries, and
@@ -294,6 +297,44 @@ def taylor_terms(module, ring) -> set[tuple[int, Degree]]:
                     top[pos] = max(top.get(pos, 0), e)
             terms.add((size - drop, ring.degree(Degree.of(top))))
     return terms
+
+
+def taylor_kpolynomial(module, ring) -> dict:
+    """The K-polynomial of a module tree as {degree: coefficient}, one term per subset of each leaf's generators.
+
+    R/I is sum_S (-1)^|S| t^(deg lcm S) over every subset S of its
+    generators, the empty one included, and I is
+    sum_(S nonempty) (-1)^(|S| - 1) t^(deg lcm S): the alternating sum of
+    the Taylor resolution.  A free module is sum_h t^h, a shift moves
+    every degree, and a sum adds its parts; a repeated degree keeps its
+    multiplicity, which ``taylor_terms`` (a set) drops.
+    """
+    terms: dict[Degree, int] = {}
+
+    def add(g: Degree, c: int) -> None:
+        terms[g] = terms.get(g, 0) + c
+
+    if isinstance(module, FreeModule):
+        for h in module.shifts:
+            add(h, 1)
+    elif isinstance(module, ShiftedModule):
+        for g, c in taylor_kpolynomial(module.inner, ring).items():
+            add(g + module.by, c)
+    elif isinstance(module, DirectSum):
+        for part in module.parts:
+            for g, c in taylor_kpolynomial(part, ring).items():
+                add(g, c)
+    else:
+        assert isinstance(module, (MonomialQuotient, MonomialIdeal)), module
+        ideal = isinstance(module, MonomialIdeal)
+        for size in range(int(ideal), len(module.gens) + 1):
+            for subset in itertools.combinations(module.gens, size):
+                top: dict[int, int] = {}
+                for gen in subset:
+                    for pos, e in gen.entries:
+                        top[pos] = max(top.get(pos, 0), e)
+                add(ring.degree(Degree.of(top)), (-1) ** (size - ideal))
+    return {g: c for g, c in terms.items() if c}
 
 
 def reference_grlex_key(d: Degree, width: int) -> tuple:

@@ -22,6 +22,7 @@ from bdfkalc import (
     class_of,
     degree,
     free_from_series,
+    kseries,
     leq_q,
     monomial_series,
     one_series,
@@ -32,12 +33,14 @@ from bdfkalc import (
     variable_quotient,
 )
 from oracles import (
+    convolve,
     essential_set,
     flat_serre_series,
     grothendieck_series,
     schubert_generators,
     schubert_ring,
     schubert_window,
+    taylor_kpolynomial,
 )
 
 KXY = RingSpec.standard(2)
@@ -268,6 +271,57 @@ def serre_cases(draw, resolvable=True):
     else:
         left = draw(lefts_holding(ring, width, draw(unresolvable_leaves(ring))))
     return ring, left, draw(st.sampled_from(rights)), window
+
+
+@st.composite
+def generated_leaves(draw, ring):
+    """A quotient or an ideal by up to three reduced monomials, with exponents up to 2."""
+    exponents = st.dictionaries(st.integers(1, len(ring.variables)), st.integers(1, 2), min_size=1, max_size=2)
+    drawn = {Degree.of(e) for e in draw(st.lists(exponents, max_size=3))}
+    gens = [m for m in drawn if not any(o != m and leq_q(o, m) for o in drawn)]
+    return draw(st.sampled_from([MonomialQuotient, MonomialIdeal])).of(gens)
+
+
+@st.composite
+def module_trees(draw, ring, width, depth=2):
+    """Any tree of library nodes: free modules, shifts and sums over quotients and ideals."""
+    kind = draw(st.sampled_from(["free", "leaf"] + (["shift", "sum"] if depth else [])))
+    if kind == "free":
+        return FreeModule.of(draw(st.lists(_shifts(width), max_size=2)))
+    if kind == "shift":
+        return ShiftedModule(draw(module_trees(ring, width, depth - 1)), draw(_shifts(width)))
+    if kind == "sum":
+        return DirectSum.of(draw(st.lists(module_trees(ring, width, depth - 1), min_size=1, max_size=2)))
+    return draw(generated_leaves(ring))
+
+
+@st.composite
+def exact_window_cases(draw):
+    ring, width, _ = draw(st.sampled_from(SERRE_RINGS))
+    ceilings = st.lists(st.integers(0, 2), min_size=width, max_size=width).map(lambda c: degree(*c))
+    window = Window.of(draw(st.lists(ceilings, min_size=1, max_size=2)))
+    return ring, draw(koszul_lefts(ring, width)), draw(module_trees(ring, width)), window
+
+
+class TestSerreOnTheWholeWindow:
+    """The Serre product against the Taylor K-polynomials, on every degree of the window.
+
+    ``KClass`` equality compares only on the conservative window of
+    ``product``, which can miss a term the product lost near the window's
+    top; here every coefficient of the window is compared.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_window_cases())
+    def test_every_coefficient_is_the_product_of_the_taylor_kpolynomials(self, case):
+        ring, left, right, window = case
+        k_left, k_right = taylor_kpolynomial(left, ring), taylor_kpolynomial(right, ring)
+        for module, k in ((left, k_left), (right, k_right)):
+            assert dict(kseries(module, ring, window).terms) == {g: c for g, c in k.items() if window.contains(g)}
+        expected = {g: c for g, c in convolve(k_left, k_right).items() if window.contains(g)}
+        for characteristic in (0, 2, 32003):
+            got = serre_product(left, right, ring, window, characteristic).series
+            assert dict(got.terms) == expected, (left, right, characteristic)
 
 
 class TestSerreDomain:
