@@ -22,7 +22,6 @@ from .degrees import (
 )
 from .grothendieck import (
     KClass,
-    UnsupportedResolutionError,
     class_of,
     free_from_series,
     product,

@@ -15,12 +15,7 @@ import json
 import sys
 
 from .degrees import Degree, Window, WindowError
-from .grothendieck import (
-    UnsupportedResolutionError,
-    class_of,
-    product,
-    serre_product,
-)
+from .grothendieck import class_of, product, serre_product
 from .homology import (
     ChainComplexError,
     KoszulTensorComplex,
@@ -480,7 +475,6 @@ def main(argv=None) -> int:
         RingValidationError,
         NotInvertibleError,
         ChainComplexError,
-        UnsupportedResolutionError,
         CharacteristicError,
     ) as exc:
         _emit_error("validation", str(exc))

@@ -3,7 +3,8 @@
 A class carries the K-series of the module that produced it, on the
 window the computation ran over; two classes are equal when their series
 agree on the common window.  The ring product is the series product; the
-alternating-torsion product recomputes the same class homologically and
+alternating-torsion product recomputes the same class from the right
+factor's minimal resolution and the left factor's graded pieces, and
 must agree with it, which is the main consistency check the package
 offers.
 """
@@ -11,14 +12,10 @@ offers.
 from __future__ import annotations
 
 from .degrees import Degree, Window
-from .homology import KoszulTensorComplex, euler_profile
-from .modules import FreeModule, ModuleExpr, RingSpec, kseries, ring_hilbert_inverse, shifted_leaves
+from .homology import betti_table
+from .modules import FreeModule, ModuleExpr, RingSpec, hilbert, kseries, ring_hilbert_inverse
 from .series import LaurentSeries, eq_on_window, mul, mul_q, reach
 from .values import Value
-
-
-class UnsupportedResolutionError(ValueError):
-    """The left factor has no resolution this artifact can realize."""
 
 
 class KClass(Value):
@@ -62,31 +59,29 @@ def serre_product(
 ) -> KClass:
     """The class of the alternating sum of the torsion modules of (m, n).
 
-    The left factor must be a direct sum of shifted free modules and
-    shifted quotients by subsets of the variables: every leaf that
-    ``shifted_leaves`` reads must have syzygy 0, which only an exact
-    quotient has, and linear generators, so a subclass of a node is
-    refused.  The Koszul complex on each subset resolves its quotient (the
-    empty subset resolves the ring), so the torsion is the Koszul homology
-    of n, moved up by the shift: each leaf adds the homology column of
-    ``euler_profile`` on the window moved down by its shift.  The result
-    agrees with the plain product of the two classes on the window.
+    Any pair of modules is accepted.  Torsion is computed from a free
+    resolution of either factor; this takes n's minimal resolution, whose
+    i-th term is the sum of R(-h) over its Betti numbers beta(i, h), so
+    m tensored with it is a sum of shifted copies of m and, in each degree
+    g, chi(Tor(m, n))_g = sum over (i, h) of (-1)^i beta(i, h) dim m_(g-h).
+    n's Betti table is read on the window's reach under m's support (a
+    Betti degree above the window still meets it when m reaches below 0),
+    which checks d.d = 0 on n's Koszul complex; m is read through its
+    graded pieces.  The series divided by the ring's Hilbert series agrees
+    with the plain product of the two classes on the window.
     """
-    leaves = shifted_leaves(m)
-    if any(syzygy != 0 or any(gen.total() != 1 for gen in leaf.gens) for _, leaf, syzygy in leaves):
-        raise UnsupportedResolutionError(
-            "left factor must be a direct sum of shifted free modules "
-            "and shifted quotients by variable subsets"
-        )
-    support = m.lower_bounds(ring) + n.lower_bounds(ring)
+    bounds = m.lower_bounds(ring)
+    chi: dict[Degree, int] = {}
+    for i, h, beta in betti_table(n, ring, reach(window, bounds), characteristic).entries:
+        chi[h] = chi.get(h, 0) + (-1) ** i * beta
     coeffs: dict[Degree, int] = {}
-    for h, leaf, _ in leaves:
-        complex_ = KoszulTensorComplex.of(n, ring, [gen.max_index() for gen in leaf.gens])
-        for g, _, chi in euler_profile(complex_, window.translate(-h), characteristic):
-            coeffs[g + h] = coeffs.get(g + h, 0) + chi
-    alternating = LaurentSeries(window, support, coeffs)
+    for h, c in chi.items():
+        if c:
+            for g, dim in hilbert(m, ring, window.translate(-h)).terms:
+                coeffs[g + h] = coeffs.get(g + h, 0) + c * dim
+    alternating = LaurentSeries(window, bounds + n.lower_bounds(ring), coeffs)
     provenance = f"serre({m.describe(ring)}, {n.describe(ring)})"
-    return KClass(mul_q(ring_hilbert_inverse(ring, reach(alternating)), alternating), provenance)
+    return KClass(mul_q(ring_hilbert_inverse(ring, reach(window, alternating.support)), alternating), provenance)
 
 
 def free_from_series(a: KClass) -> FreeModule:

@@ -469,4 +469,4 @@ def hilbert(module: ModuleExpr, ring: RingSpec, window: Window) -> LaurentSeries
 def kseries(module: ModuleExpr, ring: RingSpec, window: Window) -> LaurentSeries:
     """The Hilbert series divided by the ring's: the Grothendieck-ring coordinate."""
     series = hilbert(module, ring, window)
-    return mul_q(ring_hilbert_inverse(ring, reach(series)), series)
+    return mul_q(ring_hilbert_inverse(ring, reach(series.window, series.support)), series)

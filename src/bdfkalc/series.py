@@ -216,20 +216,20 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(window, a.support + b.support, kept)
 
 
-def reach(s: LaurentSeries) -> Window:
-    """The window of s moved down by each support lower bound: the degrees u that can reach it as u plus a term of s."""
-    return Window.of(top - lb for top in s.window.ceiling for lb in s.support.lower_bounds)
+def reach(window: Window, support: SupportDescriptor) -> Window:
+    """The window moved down by each support lower bound: the degrees u that reach it as u plus a degree of the support."""
+    return Window.of(top - lb for top in window.ceiling for lb in support.lower_bounds)
 
 
 def mul_q(q: QSeries, s: LaurentSeries) -> LaurentSeries:
     """Product of a nonnegative series with a windowed series, exact on its window.
 
     A term q_u * s_v lands at g = u + v with v above a support lower bound
-    lb, so a g in the window needs u only in ``reach(s)``.  The loop
-    convolves q, truncated there, with the stored terms of s.
+    lb, so a g in the window needs u only in ``reach(s.window, s.support)``.
+    The loop convolves q, truncated there, with the stored terms of s.
     """
     coeffs: dict[Degree, int] = {}
-    for u, cu in truncate(q, reach(s)).terms:
+    for u, cu in truncate(q, reach(s.window, s.support)).terms:
         for v, cv in s.terms:
             g = u + v
             if s.window.contains(g):
@@ -271,12 +271,11 @@ def invert(q: QSeries) -> QSeries:
 
 
 def truncate(q: QSeries, window: Window) -> LaurentSeries:
-    """The windowed shadow of a lazy nonnegative series."""
-    coeffs: dict[Degree, int] = {}
-    for g in candidate_degrees(FULL_Q, window):
-        c = q.coeff(g)
-        if c:
-            coeffs[g] = c
+    """The windowed shadow of a nonnegative series: a polynomial's terms inside the window, or each window degree of a lazy one."""
+    if q.terms is not None:
+        coeffs = {g: c for g, c in q.terms.items() if window.contains(g)}
+    else:
+        coeffs = {g: c for g in candidate_degrees(FULL_Q, window) if (c := q.coeff(g))}
     return LaurentSeries(window, FULL_Q, coeffs)
 
 

@@ -8,12 +8,12 @@ instead of the pruned monomial enumeration, a per-degree product against
 lazy series instead of a convolution over the finite side, Koszul
 differentials built entry by entry from (positions, label) lookups
 instead of the module's variable action, the Serre product of a free left
-factor read off the right factor's graded pieces instead of its Koszul
-homology, the degrees of a monomial module's Taylor resolution from every
+factor read off the right factor's graded pieces instead of its Betti
+table, the degrees of a monomial module's Taylor resolution from every
 subset of its generators instead of a closure pruned by the window, the
 K-polynomial of a module tree as the alternating sum of those Taylor
-terms, with multiplicity, instead of a Hilbert series or Koszul
-homology, and
+terms, with multiplicity, instead of a Hilbert series or a Betti
+table, and
 the basis, support bounds, variable action and printed form of a module
 tree by a recursive walk over its nodes instead of its shifted leaves,
 the graded-lex order on dense coordinates instead of sparse entries, and
@@ -155,7 +155,7 @@ def flat_serre_series(shifts, n, ring, window: Window):
         if value:
             coeffs[g] = value
     series = LaurentSeries(window, support, coeffs)
-    return mul_q(ring_hilbert_inverse(ring, reach(series)), series)
+    return mul_q(ring_hilbert_inverse(ring, reach(series.window, series.support)), series)
 
 
 def ring_inverse_by_subsets(ring) -> dict:

@@ -309,6 +309,15 @@ class TestCommands:
         assert result.returncode == EXIT_OK
         assert '"matches_tensor_product":true' in result.stdout
 
+    def test_serre_accepts_a_nonlinear_left_factor(self, tmp_path):
+        # R/(x1*x2) with itself: (1 - t^(e1+e2))^2
+        spec = dict(MINIMAL, module2=MINIMAL["module"])
+        result = run_cli("--command", "serre", spec=spec, tmp_path=tmp_path)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        payload = json.loads(result.stdout)
+        assert payload["coeffs"] == [[[], 1], [[[1, 1], [2, 1]], -2], [[[1, 2], [2, 2]], 1]]
+        assert payload["matches_tensor_product"] is True
+
     def test_composite_characteristic_rejected(self, tmp_path):
         result = run_cli("--command", "betti", "--char", "6", spec=MINIMAL, tmp_path=tmp_path)
         assert result.returncode == EXIT_VALIDATION
@@ -361,11 +370,6 @@ class TestErrorKinds:
         spec = dict(MINIMAL, module={"node": "ideal", "gens": [[[1, 1]], [[1, 1], [2, 1]]]})
         code, error = run_main(capsys, tmp_path, spec, "--command", "kseries")
         assert (code, error["kind"]) == (EXIT_PARSE, "parse")
-
-    def test_unsupported_left_factor_is_validation(self, capsys, tmp_path):
-        spec = dict(MINIMAL, module2=MINIMAL["module"])
-        code, error = run_main(capsys, tmp_path, spec, "--command", "serre")
-        assert (code, error["kind"]) == (EXIT_VALIDATION, "validation")
 
     def test_chain_complex_error_is_validation(self, monkeypatch, capsys, tmp_path):
         def fail(*args, **kwargs):

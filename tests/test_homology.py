@@ -855,6 +855,13 @@ class TestHomologyBoundary:
                 found[path.name] = names
         assert found == {}
 
+    def test_the_serre_product_reads_only_the_betti_table(self):
+        """``grothendieck`` takes ``betti_table`` alone from homology, and no module refuses a left factor."""
+        source = Path(grothendieck.__file__)
+        assert _names_from_homology(ast.parse(source.read_text(encoding="utf-8")), set(vars(homology))) == {"betti_table"}
+        for path in sorted(source.parent.glob("*.py")):
+            assert "UnsupportedResolutionError" not in path.read_text(encoding="utf-8"), path.name
+
 
 class TestEuler:
     def test_koszul_complex_on_the_ring(self):

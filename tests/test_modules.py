@@ -419,7 +419,7 @@ class TestKSeries:
             terms = {rng.choice(spots): rng.choice([-2, -1, 1, 2]) for _ in range(4)}
             s = series_from_terms(terms, W44)
             times_h = mul_q(ring_hilbert(KXY), s)
-            through = mul_q(ring_hilbert_inverse(KXY, reach(times_h)), times_h)
+            through = mul_q(ring_hilbert_inverse(KXY, reach(times_h.window, times_h.support)), times_h)
             assert eq_on_window(through, s, W44)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -234,6 +235,25 @@ class TestMulQMatchesPerDegreeOracle:
             assert s.support.lower_bounds != (ZERO,)
             for q in (self.LAZY, self.POLYNOMIAL):
                 assert mul_q(q, s) == lazy_mul_q(q, s)
+
+
+class TestTruncate:
+    def test_a_polynomial_keeps_its_terms_inside_the_window(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            w = random_window(rng, 2, 3)
+            table = {random_degree(rng, 2, 0, 4): rng.choice([-2, -1, 1, 3]) for _ in range(5)}
+            lazy = QSeries(lambda g: table.get(g, 0))
+            assert truncate(QSeries.from_terms(table), w) == truncate(lazy, w)
+
+    def test_a_polynomial_on_a_window_too_large_to_list(self):
+        # the window below (10^6, 10^6) holds about 10^12 degrees; only the two terms are read
+        far = degree(10**6)
+        started = time.perf_counter()
+        got = truncate(QSeries.from_terms({ZERO: 1, far: -1}), Window.of([degree(10**6, 10**6)]))
+        elapsed = time.perf_counter() - started
+        assert got.terms == ((ZERO, 1), (far, -1))
+        assert elapsed < 0.1, f"truncate took {elapsed:.3f}s (budget 0.1s)"
 
 
 class TestInvert:
